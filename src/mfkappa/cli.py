@@ -1,8 +1,8 @@
 """Command-line interface: generate | analyze | classify | sweep | plot.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 bad generator spec or bad
-flags, 3 sizing refusal. Set MFK_NO_COLOR to suppress ANSI styling on
-stderr notices.
+flags, 3 sizing refusal; an MfkError carries its code as exit_code. Set
+MFK_NO_COLOR to suppress ANSI styling on stderr notices.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .spectrum import SizingStatus
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_SPEC = 2
 EXIT_SIZING = 3
 
 
@@ -34,16 +33,19 @@ def _error(msg: str) -> None:
     sys.stderr.write(f"error: {msg}\n")
 
 
-def _selfsimilar_spec_from_args(args, S=None, seed=None) -> oracles.SelfSimilarSpec:
+def _load_spec(path) -> oracles.SelfSimilarSpec:
+    with open(path) as fh:
+        return oracles.SelfSimilarSpec.from_dict(json.load(fh))
+
+
+def _selfsimilar_spec_from_args(args) -> oracles.SelfSimilarSpec:
     if args.spec:
-        with open(args.spec) as fh:
-            return oracles.SelfSimilarSpec.from_dict(json.load(fh))
+        return _load_spec(args.spec)
     r1 = args.r
     r2 = args.r2 if args.r2 is not None else args.r
     return oracles.SelfSimilarSpec(
         p=(args.p, 1.0 - args.p), r=(r1, r2), depth=args.depth,
-        S=S if S is not None else args.S,
-        seed=seed if seed is not None else args.seed)
+        S=args.S, seed=args.seed)
 
 
 def cmd_generate(args) -> int:
@@ -59,10 +61,8 @@ def cmd_generate(args) -> int:
         dust = oracles.gen_selfsimilar(spec)
         header = {"kind": "selfsimilar", "spec": json.dumps(spec.as_dict())}
     else:  # superposed
-        with open(args.spec_a) as fh:
-            spec_a = oracles.SelfSimilarSpec.from_dict(json.load(fh))
-        with open(args.spec_b) as fh:
-            spec_b = oracles.SelfSimilarSpec.from_dict(json.load(fh))
+        spec_a = _load_spec(args.spec_a)
+        spec_b = _load_spec(args.spec_b)
         dust = oracles.gen_superposed(spec_a, spec_b, args.mix,
                                       disjoint=args.disjoint)
         header = {"kind": "superposed", "mix": args.mix,
@@ -122,7 +122,10 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     dust = read_dust(args.input)
-    B_list = [int(b) for b in args.boxes.split(",") if b]
+    try:
+        B_list = [int(b) for b in args.boxes.split(",") if b]
+    except ValueError:
+        raise SpecError(f"--boxes must list integers, got {args.boxes!r}")
     if not B_list:
         raise SpecError("--boxes must name at least one box count")
     A = args.bins if args.bins is not None else spectrum.auto_size(
@@ -237,10 +240,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except MfkError as exc:
         _error(str(exc))
-        return EXIT_SPEC
-    except (OSError, MfkError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         _error(str(exc))
         return EXIT_IO
 

@@ -2,7 +2,9 @@
 
 
 class MfkError(Exception):
-    """Base class for all mfkappa errors."""
+    """Base class for all mfkappa errors; `mfk` exits with exit_code."""
+
+    exit_code = 1
 
 
 class EmptySignal(MfkError):
@@ -16,6 +18,8 @@ class BadWindow(MfkError):
 class BadBoxCount(MfkError):
     """Box count below the minimum of 2."""
 
+    exit_code = 2
+
 
 class TooFewSamples(MfkError):
     """Sample too small for the auto-sizing rule."""
@@ -24,9 +28,13 @@ class TooFewSamples(MfkError):
 class SizingViolation(MfkError):
     """Sample/box/bin sizing inequality violated and not overridden."""
 
+    exit_code = 3
+
 
 class SpecError(MfkError):
-    """Invalid generator specification."""
+    """Invalid generator specification or analysis parameter."""
+
+    exit_code = 2
 
 
 class TooFewPoints(MfkError):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NeedsSweep, TooFewPoints
+from .errors import NeedsSweep, SpecError, TooFewPoints
 from .spectrum import Spectrum
 
 
@@ -27,16 +27,6 @@ class SpectrumFeatures:
     f_max: float
     delta_alpha: float    # alpha_max - alpha_min, the width of the curve
     bisectrix_gap: float  # min over points of (alpha - f); distance to y=x
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "alpha_M": self.alpha_M,
-            "f_max": self.f_max,
-            "delta_alpha": self.delta_alpha,
-            "bisectrix_gap": self.bisectrix_gap,
-        }
 
 
 @dataclass(frozen=True)
@@ -53,10 +43,6 @@ class SegmentReport:
     slope: float | None = None          # the collapsed q = f'(alpha)
     residual: float | None = None       # max |deviation| from the fitted line
 
-    def as_dict(self) -> dict:
-        return {"found": self.found, "run": list(self.run) if self.run else None,
-                "slope": self.slope, "residual": self.residual}
-
 
 @dataclass(frozen=True)
 class IsolatedPoint:
@@ -64,10 +50,6 @@ class IsolatedPoint:
     alpha: float
     f: float
     on_axis: bool  # f == 0: a lone box, not an embryonic second spectrum
-
-    def as_dict(self) -> dict:
-        return {"index": self.index, "alpha": self.alpha, "f": self.f,
-                "on_axis": self.on_axis}
 
 
 @dataclass(frozen=True)
@@ -77,14 +59,6 @@ class FragmentReport:
     isolated_points: tuple[IsolatedPoint, ...]
     gap_threshold: float
 
-    def as_dict(self) -> dict:
-        return {
-            "fragments": [list(r) for r in self.fragments],
-            "gaps": list(self.gaps),
-            "isolated_points": [p.as_dict() for p in self.isolated_points],
-            "gap_threshold": self.gap_threshold,
-        }
-
 
 @dataclass(frozen=True)
 class GeometryConfig:
@@ -92,10 +66,6 @@ class GeometryConfig:
     min_run: int | None = None        # default: max(4, ceil(n/2))
     gap_threshold: float | None = None  # default: see default_gap_threshold
     tol: float = 0.2                  # cap-shape noise tolerance in f units
-
-    def as_dict(self) -> dict:
-        return {"residual_tol": self.residual_tol, "min_run": self.min_run,
-                "gap_threshold": self.gap_threshold, "tol": self.tol}
 
 
 @dataclass(frozen=True)
@@ -110,9 +80,9 @@ class RegimeReport:
     def as_dict(self) -> dict:
         return {
             "regime": self.regime,
-            "features": self.features.as_dict(),
-            "segment": self.segment.as_dict(),
-            "fragmentation": self.fragmentation.as_dict(),
+            "features": asdict(self.features),
+            "segment": asdict(self.segment),
+            "fragmentation": asdict(self.fragmentation),
             "cap_shaped": None if self.cap is None else self.cap.is_cap,
             "config": self.config,
         }
@@ -121,14 +91,9 @@ class RegimeReport:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def _sorted_points(spectrum: Spectrum):
-    order = np.argsort(spectrum.alphas, kind="stable")
-    return spectrum.alphas[order], spectrum.fs[order]
-
-
 def features(spectrum: Spectrum) -> SpectrumFeatures:
     """Extract the curve summary; at equal f_max the smaller alpha wins."""
-    alphas, fs = _sorted_points(spectrum)
+    alphas, fs = spectrum.alphas, spectrum.fs
     k = int(np.argmax(fs))  # argmax takes the first max: the smaller alpha
     return SpectrumFeatures(
         alpha_min=float(alphas[0]),
@@ -162,7 +127,7 @@ def compare_sweep(features_list) -> dict:
 def cap_shape_check(spectrum: Spectrum, tol: float = 0.02) -> CapShapeResult:
     """Single-peak test: no interior point sits more than tol below both
     neighbours. A peak at either end passes but is flagged degenerate."""
-    alphas, fs = _sorted_points(spectrum)
+    fs = spectrum.fs
     n = fs.size
     if n < 3:
         raise TooFewPoints(f"cap test needs >= 3 points, got {n}")
@@ -189,7 +154,7 @@ def detect_segment(spectrum: Spectrum, residual_tol: float = 0.02,
     robustly on the short point lists this estimator produces.
     """
     min_run = max(4, min_run)
-    alphas, fs = _sorted_points(spectrum)
+    alphas, fs = spectrum.alphas, spectrum.fs
     n = fs.size
     best = None
     for i in range(n):
@@ -211,9 +176,9 @@ def detect_fragments(spectrum: Spectrum,
     """Split the alpha-sorted points wherever consecutive spacing exceeds
     gap_threshold; size-1 fragments become isolated points, flagged on-axis
     when their f is zero."""
-    if gap_threshold <= 0:
-        raise ValueError("gap_threshold must be positive")
-    alphas, fs = _sorted_points(spectrum)
+    if not gap_threshold > 0:
+        raise SpecError(f"gap threshold must be positive, got {gap_threshold}")
+    alphas, fs = spectrum.alphas, spectrum.fs
     n = alphas.size
     frags = []
     start = 0
@@ -242,7 +207,7 @@ def default_gap_threshold(spectrum: Spectrum) -> float:
     of 0.1 keeps sub-0.1 jitter in sparse noise tails from splitting a
     spectrum (alpha lives on an O(1) scale).
     """
-    alphas, _ = _sorted_points(spectrum)
+    alphas = spectrum.alphas
     if alphas.size < 2:
         return math.inf
     eps_a = spectrum.params.epsilon_alpha

@@ -33,9 +33,9 @@ class EventSignal:
         t0, t1 = self.window
         if not t0 < t1:
             raise BadWindow(f"window ({t0}, {t1}) is degenerate")
-        if np.any(np.diff(ev) <= 0):
+        if not np.all(np.diff(ev) > 0):
             raise FormatError("event times must be strictly increasing")
-        if ev[0] < t0 or ev[-1] > t1:
+        if not (ev[0] >= t0 and ev[-1] <= t1):
             raise BadWindow("events fall outside the window")
 
 
@@ -50,7 +50,7 @@ class CantorDust:
         if pts.size == 0:
             raise EmptySignal("dust must contain at least one point")
         pts = np.sort(pts)
-        if pts[0] < 0.0 or pts[-1] > 1.0:
+        if not (pts[0] >= 0.0 and pts[-1] <= 1.0):  # NaN sorts last
             raise FormatError("dust points must lie in [0,1]")
         object.__setattr__(self, "points", pts)
 
@@ -65,7 +65,10 @@ class NaturalMeasure:
 
     box_count: int
     counts: np.ndarray  # integer occupancy per box, sums to S
-    mu: np.ndarray      # counts / S
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.counts / self.counts.sum()
 
     @property
     def box_length(self) -> float:
@@ -94,34 +97,48 @@ def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     idx = (dust.points * B).astype(np.int64)
     np.clip(idx, 0, B - 1, out=idx)  # p == 1.0 goes to the closed last box
     counts = np.bincount(idx, minlength=B)
-    return NaturalMeasure(box_count=B, counts=counts,
-                          mu=counts / dust.sample_size)
+    return NaturalMeasure(box_count=B, counts=counts)
 
 
 # --- file formats ---------------------------------------------------------
 
-def _parse_header_meta(lines):
+def read_rows(path, parse=float, header=None):
+    """Read a text table: one row per line, converted by parse.
+
+    Blank lines are skipped and '#' lines are comments; those of the form
+    '# key=value' are collected into meta. If header is given, a line equal
+    to it (case-insensitive) names the columns and must be present. Returns
+    (meta, rows); a line parse rejects raises FormatError.
+    """
     meta = {}
-    for line in lines:
-        body = line.lstrip("#").strip()
-        if "=" in body:
-            key, _, val = body.partition("=")
-            meta[key.strip()] = val.strip()
-    return meta
+    rows = []
+    saw_header = header is None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, eq, val = line.lstrip("#").partition("=")
+                if eq:
+                    meta[key.strip()] = val.strip()
+                continue
+            try:
+                rows.append(parse(line))
+            except ValueError:
+                # looked for only here, so a row costs one parse
+                if header is not None and line.lower() == header:
+                    saw_header = True
+                    continue
+                raise FormatError(f"{path}:{lineno}: unreadable row: {line!r}")
+    if not saw_header:
+        raise FormatError(f"{path}: no {header!r} header line")
+    return meta, rows
 
 
 def read_dust(path) -> CantorDust:
     """Read a dust file: one real in [0,1] per line, '#' comments allowed."""
-    points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                points.append(float(line))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: not a number: {line!r}")
+    _, points = read_rows(path)
     if not points:
         raise FormatError(f"{path}: no dust points")
     return CantorDust(np.array(points))
@@ -133,23 +150,9 @@ def read_events(path) -> EventSignal:
     Recognized header keys: kappa, nu, t_start, t_end. If the window is not
     given it defaults to the span of the events.
     """
-    times = []
-    headers = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                headers.append(line)
-                continue
-            try:
-                times.append(float(line))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: not a number: {line!r}")
+    meta, times = read_rows(path)
     if not times:
         raise EmptySignal(f"{path}: no events")
-    meta = _parse_header_meta(headers)
     t0 = float(meta.pop("t_start", times[0]))
     t1 = float(meta.pop("t_end", times[-1]))
     for key in ("kappa", "nu"):

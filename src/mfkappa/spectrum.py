@@ -12,13 +12,14 @@ separated, S >= B^2 and B >= A^2, with a tolerated band up to B <= 2*sqrt(S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import FormatError, SizingViolation, TooFewSamples
-from .measure import CantorDust, NaturalMeasure, atomic_write, cover
+from .errors import (FormatError, MfkError, SizingViolation, SpecError,
+                     TooFewSamples)
+from .measure import CantorDust, NaturalMeasure, atomic_write, cover, read_rows
 
 
 class SizingStatus(str, Enum):
@@ -41,10 +42,6 @@ class AlphaField:
     alphas: np.ndarray
     box_count: int
 
-    @property
-    def epsilon_l(self) -> float:
-        return 1.0 / self.box_count
-
 
 @dataclass(frozen=True)
 class SpectrumParams:
@@ -63,6 +60,13 @@ class Spectrum:
     alphas: np.ndarray
     fs: np.ndarray
     params: SpectrumParams
+
+    def __post_init__(self):
+        a, f = self.alphas, self.fs
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))
+                and np.all(np.diff(a) > 0)):
+            raise FormatError("spectrum points must be finite, with "
+                              "strictly increasing alphas")
 
     def __len__(self) -> int:
         return int(self.alphas.size)
@@ -88,24 +92,24 @@ def histogram_spectrum(fld: AlphaField, A: int) -> Spectrum:
     omitted. If all alphas coincide the spectrum collapses to one point.
     """
     if A < 1:
-        raise ValueError(f"bin count must be >= 1, got {A}")
+        raise SpecError(f"bin count must be >= 1, got {A}")
     if fld.alphas.size == 0:
         raise ValueError("alpha field is empty")
     a_lo = float(fld.alphas.min())
     a_hi = float(fld.alphas.max())
     log_b = math.log(fld.box_count)
     if a_hi == a_lo:
-        n = fld.alphas.size
-        params = SpectrumParams(S=0, B=fld.box_count, A=A, epsilon_alpha=0.0)
-        return Spectrum(np.array([a_lo]),
-                        np.array([math.log(n) / log_b]), params)
-    eps_a = (a_hi - a_lo) / A
-    bins = ((fld.alphas - a_lo) / eps_a).astype(np.int64)
-    np.clip(bins, 0, A - 1, out=bins)  # closed last bin
-    counts = np.bincount(bins, minlength=A)
-    occupied = np.flatnonzero(counts)
-    mids = a_lo + (occupied + 0.5) * eps_a
-    fs = np.log(counts[occupied]) / log_b
+        eps_a = 0.0
+        mids = np.array([a_lo])
+        fs = np.array([math.log(fld.alphas.size) / log_b])
+    else:
+        eps_a = (a_hi - a_lo) / A
+        bins = ((fld.alphas - a_lo) / eps_a).astype(np.int64)
+        np.clip(bins, 0, A - 1, out=bins)  # closed last bin
+        counts = np.bincount(bins, minlength=A)
+        occupied = np.flatnonzero(counts)
+        mids = a_lo + (occupied + 0.5) * eps_a
+        fs = np.log(counts[occupied]) / log_b
     params = SpectrumParams(S=0, B=fld.box_count, A=A, epsilon_alpha=eps_a)
     return Spectrum(mids, fs, params)
 
@@ -151,10 +155,8 @@ def estimate(dust: CantorDust, B: int, A: int, force: bool = False) -> Spectrum:
     if verdict.status is SizingStatus.VIOLATION and not force:
         raise SizingViolation("; ".join(verdict.messages))
     spec = histogram_spectrum(alpha_field(cover(dust, B)), A)
-    params = SpectrumParams(S=dust.sample_size, B=B, A=A,
-                            epsilon_alpha=spec.params.epsilon_alpha,
-                            sizing=verdict)
-    return Spectrum(spec.alphas, spec.fs, params)
+    return replace(spec, params=replace(spec.params, S=dust.sample_size,
+                                        sizing=verdict))
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
     for B in B_list:
         try:
             out.append(SweepEntry(B, estimate(dust, B, A, force=force)))
-        except Exception as exc:  # recorded, not raised
+        except MfkError as exc:  # recorded, not raised
             out.append(SweepEntry(B, None, f"{type(exc).__name__}: {exc}"))
     return out
 
@@ -199,39 +201,24 @@ def write_spectrum_csv(spec: Spectrum, path) -> None:
     atomic_write(path, format_spectrum_csv(spec))
 
 
+def _alpha_f_row(line):
+    alpha, f = line.split(",")  # ValueError unless exactly two fields
+    return float(alpha), float(f)
+
+
 def read_spectrum_csv(path) -> Spectrum:
-    meta = {}
-    alphas = []
-    fs = []
-    saw_header = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            if line.lower() == "alpha,f":
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'alpha,f' row")
-            try:
-                alphas.append(float(parts[0]))
-                fs.append(float(parts[1]))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric row")
-    if not saw_header or not alphas:
+    """Read a spectrum CSV; rows may come in any order."""
+    meta, rows = read_rows(path, parse=_alpha_f_row, header="alpha,f")
+    if not rows:
         raise FormatError(f"{path}: not a spectrum CSV")
-    status = SizingStatus(meta.get("sizing", "Ok"))
-    params = SpectrumParams(
-        S=int(meta.get("S", 0)), B=int(meta.get("B", 0)),
-        A=int(meta.get("A", 0)),
-        epsilon_alpha=float(meta.get("epsilon_alpha", 0.0)),
-        sizing=SizingVerdict(status))
+    alphas, fs = np.array(rows).T
     order = np.argsort(alphas)
-    return Spectrum(np.array(alphas)[order], np.array(fs)[order], params)
+    try:
+        params = SpectrumParams(
+            S=int(meta.get("S", 0)), B=int(meta.get("B", 0)),
+            A=int(meta.get("A", 0)),
+            epsilon_alpha=float(meta.get("epsilon_alpha", 0.0)),
+            sizing=SizingVerdict(SizingStatus(meta.get("sizing", "Ok"))))
+        return Spectrum(alphas[order], fs[order], params)
+    except (ValueError, FormatError) as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -66,8 +66,7 @@ def render_spectra_svg(spectra, labels=None,
                else default_gap_threshold(spec))
         frag = detect_fragments(spec, thr)
         out.append(f'<g class="series" data-label="{label}">')
-        order = np.argsort(spec.alphas)
-        alphas, fs = spec.alphas[order], spec.fs[order]
+        alphas, fs = spec.alphas, spec.fs
         for i, j in frag.fragments:
             if j > i:
                 pts = " ".join(f"{sx(a):.2f},{sy(f):.2f}"

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mfkappa
+from mfkappa import errors
 from mfkappa.cli import main
 from mfkappa.measure import write_dust
 from mfkappa.oracles import gen_uniform
@@ -153,6 +158,21 @@ class TestClassify:
         path.write_text("alpha,f\n0.9,oops\n")
         assert run("classify", str(path)) == 1
 
+    @pytest.mark.parametrize("alphas,fs", [
+        ([0.9, float("nan"), 1.1], [0.3, 0.5, 0.2]),
+        ([0.9, 1.0, 1.1], [0.3, float("inf"), 0.2]),
+        ([0.9, 1.0, 1.0], [0.3, 0.7, 0.2]),
+    ], ids=["nan-alpha", "inf-f", "duplicate-alpha"])
+    def test_refused_rows_exit_1(self, tmp_path, alphas, fs):
+        path = self.write_csv(tmp_path, alphas, fs)
+        assert run("classify", str(path)) == 1
+
+    @pytest.mark.parametrize("meta", ["# sizing=Bogus", "# S=abc"])
+    def test_bad_metadata_exits_1(self, tmp_path, meta):
+        path = tmp_path / "spec.csv"
+        path.write_text(f"{meta}\nalpha,f\n0.9,0.3\n1.0,0.7\n")
+        assert run("classify", str(path)) == 1
+
 
 class TestSweep:
     def test_report_with_trend(self, tmp_path):
@@ -219,3 +239,41 @@ class TestPlot:
         svg = out.read_text()
         series = svg[svg.index('<g class="series"'):svg.index("</g>")]
         assert series.count("<polyline") == 2
+
+
+class TestErrorContract:
+    """Each error class carries its exit code; bad flags exit 2 with one
+    'error:' line and no traceback."""
+
+    DOCUMENTED = {errors.SpecError: 2, errors.BadBoxCount: 2,
+                  errors.SizingViolation: 3}
+
+    def test_exit_code_on_every_error_class(self):
+        seen, todo = [], [errors.MfkError]
+        while todo:
+            cls = todo.pop()
+            seen.append(cls)
+            todo.extend(cls.__subclasses__())
+        assert set(self.DOCUMENTED) < set(seen)
+        for cls in seen:
+            assert cls.exit_code == self.DOCUMENTED.get(cls, 1), cls.__name__
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{dust}", "--boxes", "100", "--bins", "0"],
+        ["sweep", "{dust}", "--boxes", "10,x", "--out-prefix", "{tmp}/sw"],
+        ["analyze", "{dust}", "--boxes", "1", "--bins", "9", "--force"],
+        ["classify", "{csv}", "--gap-threshold", "0"],
+    ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0"])
+    def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
+        csv = tmp_path / "spec.csv"
+        csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")
+        src = os.path.dirname(os.path.dirname(mfkappa.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [a.format(dust=uniform_dust, tmp=tmp_path, csv=csv)
+                for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "mfkappa.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

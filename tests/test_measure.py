@@ -98,3 +98,15 @@ def test_read_dust_rejects_garbage(tmp_path):
     path.write_text("0.5\nnot-a-number\n")
     with pytest.raises(FormatError):
         read_dust(path)
+
+
+def test_read_dust_rejects_nan(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("0.5\nnan\n")
+    with pytest.raises(FormatError):
+        read_dust(path)
+
+
+def test_nan_event_rejected():
+    with pytest.raises(FormatError):
+        EventSignal(events=np.array([0.1, np.nan, 0.5]), window=(0.0, 1.0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mfkappa.errors import SizingViolation, TooFewSamples
 from mfkappa.measure import CantorDust, cover
@@ -10,6 +12,7 @@ from mfkappa.spectrum import (AlphaField, SizingStatus, alpha_field,
                               auto_size, estimate, histogram_spectrum,
                               read_spectrum_csv, sweep_boxes,
                               validate_sizing, write_spectrum_csv)
+from mfkappa.spectrum import format_spectrum_csv
 
 
 def field_from(alphas, B):
@@ -157,6 +160,14 @@ class TestSweep:
         entries = sweep_boxes(dust, [150, 100], 9)
         assert [e.B for e in entries] == [150, 100]
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a sizing failure")
+
+        monkeypatch.setattr("mfkappa.spectrum.estimate", broken)
+        with pytest.raises(TypeError):
+            sweep_boxes(gen_uniform(10_000), [100], 9)
+
 
 def test_csv_roundtrip(tmp_path):
     spec = estimate(gen_uniform(10_000, "random", 5), 100, 9)
@@ -168,3 +179,41 @@ def test_csv_roundtrip(tmp_path):
     assert back.params.B == 100 and back.params.A == 9
     assert back.params.S == 10_000
     assert back.params.sizing.status is SizingStatus.OK
+
+
+@st.composite
+def edge_dusts(draw):
+    """A box count B and a dust drawn from box edges k/B, the segment's ends
+    and arbitrary reals, with repeats, so points share boxes and edges."""
+    B = draw(st.integers(2, 64))
+    values = st.one_of(st.integers(0, B).map(lambda k: k / B),
+                       st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    pool = draw(st.lists(values, min_size=1, max_size=30))
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    return CantorDust(np.array(points)), B
+
+
+@given(edge_dusts(), st.integers(1, 12))
+def test_estimate_keeps_spectrum_invariant(dust_and_B, A):
+    dust, B = dust_and_B
+    spec = estimate(dust, B, A, force=True)
+    assert np.all(np.diff(spec.alphas) > 0)
+    assert np.all(np.isfinite(spec.alphas)) and np.all(np.isfinite(spec.fs))
+    # every occupied box lands in exactly one bin
+    occupied = np.count_nonzero(cover(dust, B).counts)
+    assert round(float(np.sum(np.exp(spec.fs * np.log(B))))) == occupied
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_dusts(), st.integers(1, 12), st.data())
+def test_csv_read_ignores_row_order(tmp_path, dust_and_B, A, data):
+    dust, B = dust_and_B
+    spec = estimate(dust, B, A, force=True)
+    lines = format_spectrum_csv(spec).splitlines()
+    body = lines.index("alpha,f") + 1
+    rows = data.draw(st.permutations(lines[body:]))
+    path = tmp_path / "shuffled.csv"
+    path.write_text("\n".join(lines[:body] + rows) + "\n")
+    back = read_spectrum_csv(path)
+    assert back.alphas.tobytes() == spec.alphas.tobytes()
+    assert back.fs.tobytes() == spec.fs.tobytes()
