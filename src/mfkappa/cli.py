@@ -1,15 +1,13 @@
 """Command-line interface: generate | analyze | classify | sweep | plot.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 bad generator spec or bad
-flags, 3 sizing refusal; an MfkError carries its code as exit_code. Set
-MFK_NO_COLOR to suppress ANSI styling on stderr notices.
+flags, 3 sizing refusal; an MfkError carries its code as exit_code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import geometry, oracles, spectrum
@@ -23,10 +21,8 @@ EXIT_SIZING = 3
 
 
 def _warn(msg: str) -> None:
-    if os.environ.get("MFK_NO_COLOR"):
-        sys.stderr.write(f"warning: {msg}\n")
-    else:
-        sys.stderr.write(f"\x1b[33mwarning:\x1b[0m {msg}\n")
+    tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
+    sys.stderr.write(f"{tag} {msg}\n")
 
 
 def _error(msg: str) -> None:
@@ -35,7 +31,10 @@ def _error(msg: str) -> None:
 
 def _load_spec(path) -> oracles.SelfSimilarSpec:
     with open(path) as fh:
-        return oracles.SelfSimilarSpec.from_dict(json.load(fh))
+        try:
+            return oracles.SelfSimilarSpec.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"{path}: bad spec: {type(exc).__name__}: {exc}")
 
 
 def _selfsimilar_spec_from_args(args) -> oracles.SelfSimilarSpec:

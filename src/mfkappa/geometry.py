@@ -156,19 +156,18 @@ def detect_segment(spectrum: Spectrum, residual_tol: float = 0.02,
     min_run = max(4, min_run)
     alphas, fs = spectrum.alphas, spectrum.fs
     n = fs.size
-    best = None
-    for i in range(n):
-        for j in range(i + min_run - 1, n):
+    for length in range(n, min_run - 1, -1):
+        hits = []
+        for i in range(n - length + 1):
+            j = i + length - 1
             slope, resid = _line_fit_residual(alphas[i:j + 1], fs[i:j + 1])
             if resid <= residual_tol:
-                length = j - i + 1
-                if best is None or length > best[0] or \
-                        (length == best[0] and resid < best[3]):
-                    best = (length, i, j, resid, slope)
-    if best is None:
-        return SegmentReport(found=False)
-    _, i, j, resid, slope = best
-    return SegmentReport(found=True, run=(i, j), slope=slope, residual=resid)
+                hits.append((resid, i, j, slope))
+        if hits:  # longest first; then smallest residual, then leftmost
+            resid, i, j, slope = min(hits)
+            return SegmentReport(found=True, run=(i, j), slope=slope,
+                                 residual=resid)
+    return SegmentReport(found=False)
 
 
 def detect_fragments(spectrum: Spectrum,

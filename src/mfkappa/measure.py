@@ -153,11 +153,14 @@ def read_events(path) -> EventSignal:
     meta, times = read_rows(path)
     if not times:
         raise EmptySignal(f"{path}: no events")
-    t0 = float(meta.pop("t_start", times[0]))
-    t1 = float(meta.pop("t_end", times[-1]))
-    for key in ("kappa", "nu"):
-        if key in meta:
-            meta[key] = float(meta[key])
+    try:
+        t0 = float(meta.pop("t_start", times[0]))
+        t1 = float(meta.pop("t_end", times[-1]))
+        for key in ("kappa", "nu"):
+            if key in meta:
+                meta[key] = float(meta[key])
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header value: {exc}")
     return EventSignal(events=np.array(times), window=(t0, t1), meta=meta)
 
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DepthTooLarge, GridTooCoarse, SpecError
 from .measure import CantorDust
@@ -141,17 +139,19 @@ def oracle_spectrum(spec: SelfSimilarSpec, q_grid) -> OracleSpectrum:
     if np.max(steps) > 0.05 + 1e-12:
         raise GridTooCoarse("centered differencing needs grid step <= 0.05")
 
-    def tau_of(qi: float) -> float:
-        def g(t):
-            return p1 ** qi * r1 ** t + p2 ** qi * r2 ** t - 1.0
-        lo, hi = -100.0, 100.0
-        while g(lo) < 0:
-            lo *= 2
-        while g(hi) > 0:
-            hi *= 2
-        return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-
-    taus = np.array([tau_of(qi) for qi in q])
+    # g(t) = p1^q r1^t + p2^q r2^t - 1 strictly decreases in t. Term i is 1
+    # at t_i = -q ln p_i / ln r_i and at most 1/2 from t_i + ln 2 / ln(1/r_i)
+    # on, so g > 0 at min(t1, t2) and g <= 0 at the larger of those bounds.
+    w1, w2 = p1 ** q, p2 ** q
+    t1, t2 = -q * math.log(p1) / math.log(r1), -q * math.log(p2) / math.log(r2)
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1 - math.log(2) / math.log(r1),
+                    t2 - math.log(2) / math.log(r2))
+    for _ in range(200):  # to adjacent doubles, or 1e-50 wide near tau=0
+        mid = 0.5 * (lo + hi)
+        above = w1 * r1 ** mid + w2 * r2 ** mid > 1.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    taus = 0.5 * (lo + hi)
     alphas = (taus[2:] - taus[:-2]) / (q[2:] - q[:-2])
     q_in = q[1:-1]
     fs = q_in * alphas - taus[1:-1]
@@ -162,12 +162,11 @@ def gen_farey(Q: int) -> CantorDust:
     """All reduced fractions p/q in [0,1] with denominator q <= Q."""
     if Q < 2:
         raise SpecError(f"max denominator must be >= 2, got {Q}")
-    fracs = {Fraction(0), Fraction(1)}
+    fracs = [np.array([0.0, 1.0])]
     for den in range(2, Q + 1):
-        for num in range(1, den):
-            if math.gcd(num, den) == 1:
-                fracs.add(Fraction(num, den))
-    return CantorDust(np.array(sorted(float(f) for f in fracs)))
+        num = np.arange(1, den)
+        fracs.append(num[np.gcd(num, den) == 1] / den)
+    return CantorDust(np.concatenate(fracs))
 
 
 def gen_uniform(S: int, mode: str = "equispaced",

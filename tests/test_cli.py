@@ -277,3 +277,51 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"p": [0.5, 0.5], "depth": 4, "S": 10}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "dep',
+        '[0.5, 0.5]',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": "x", "S": 10}',
+    ], ids=["missing-r", "truncated", "json-list", "depth-not-int"])
+    @pytest.mark.parametrize("flag", ["--spec", "--spec-a"])
+    def test_bad_spec_file_exits_2(self, text, flag, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        good = tmp_path / "good.json"
+        good.write_text('{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, '
+                        '"S": 10}')
+        kind = ["selfsimilar", "--spec", str(bad)] if flag == "--spec" else \
+            ["superposed", "--spec-a", str(bad), "--spec-b", str(good)]
+        out = tmp_path / "out.txt"
+        src = os.path.dirname(os.path.dirname(mfkappa.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfkappa.cli", "generate", *kind,
+             "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}")
+        assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(mfkappa.__file__))
+    code = ("import sys, mfkappa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_warning_to_a_non_terminal_has_no_escape_codes(uniform_dust,
+                                                      tmp_path, capsys):
+    # S=10000 with B=150 lies in the warning band sqrt(S) < B <= 2 sqrt(S)
+    assert run("analyze", str(uniform_dust), "--boxes", "150", "--bins", "9",
+               "--out", str(tmp_path / "spec.csv")) == 0
+    err = capsys.readouterr().err
+    assert "warning:" in err
+    assert "\x1b[" not in err

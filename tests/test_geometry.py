@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from mfkappa.errors import NeedsSweep, TooFewPoints
-from mfkappa.geometry import (GeometryConfig, SpectrumFeatures,
+from mfkappa.geometry import (GeometryConfig, SegmentReport,
+                              SpectrumFeatures, _line_fit_residual,
                               cap_shape_check, classify, compare_sweep,
                               detect_fragments, detect_segment, features)
 from mfkappa.spectrum import Spectrum, SpectrumParams
@@ -148,6 +150,53 @@ class TestSegment:
         rep = detect_segment(make_spectrum(alphas, fs),
                              residual_tol=1e-3, min_run=4)
         assert rep.found
+
+    def test_matches_exhaustive_search(self):
+        """Longest-first search returns what the exhaustive search over
+        every window did, field for field, on fuzzed spectra with tied f
+        values, collinear runs and n from 1 to 29."""
+
+        def exhaustive(spectrum, residual_tol, min_run):
+            min_run = max(4, min_run)
+            alphas, fs = spectrum.alphas, spectrum.fs
+            n = fs.size
+            best = None
+            for i in range(n):
+                for j in range(i + min_run - 1, n):
+                    slope, resid = _line_fit_residual(alphas[i:j + 1],
+                                                      fs[i:j + 1])
+                    if resid <= residual_tol:
+                        length = j - i + 1
+                        if best is None or length > best[0] or \
+                                (length == best[0] and resid < best[3]):
+                            best = (length, i, j, resid, slope)
+            if best is None:
+                return SegmentReport(found=False)
+            _, i, j, resid, slope = best
+            return SegmentReport(found=True, run=(i, j), slope=slope,
+                                 residual=resid)
+
+        rng = np.random.default_rng(20)
+        found = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 30))
+            alphas = np.cumsum(rng.choice([0.05, 0.125, 0.25], n))
+            kind = rng.integers(4)
+            if kind == 0:    # few f levels: tied values
+                fs = rng.choice([0.0, 0.25, 0.5], n)
+            elif kind == 1:  # zero runs fit exactly: tied residuals of 0.0
+                fs = np.where(rng.random(n) < 0.15, 0.5, 0.0)
+            elif kind == 2:  # a line with small noise
+                fs = 0.5 * alphas + rng.uniform(-0.01, 0.01, n)
+            else:            # a cap
+                fs = 1 - (alphas - alphas.mean()) ** 2
+            spec = make_spectrum(alphas, fs)
+            tol = float(rng.choice([1e-12, 0.01, 0.02, 0.1, 0.3]))
+            min_run = int(rng.integers(1, 12))
+            new = detect_segment(spec, tol, min_run)
+            assert astuple(new) == astuple(exhaustive(spec, tol, min_run))
+            found += new.found
+        assert 100 < found < 900
 
 
 class TestFragments:

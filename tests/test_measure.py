@@ -110,3 +110,11 @@ def test_read_dust_rejects_nan(tmp_path):
 def test_nan_event_rejected():
     with pytest.raises(FormatError):
         EventSignal(events=np.array([0.1, np.nan, 0.5]), window=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("header", ["# t_start=abc", "# kappa=heavy"])
+def test_read_events_bad_header_value(tmp_path, header):
+    path = tmp_path / "events.txt"
+    path.write_text(f"{header}\n2.5\n5.0\n")
+    with pytest.raises(FormatError, match="events.txt"):
+        read_events(path)

@@ -93,6 +93,52 @@ class TestOracle:
         k = int(np.argmin(np.abs(orc.q_grid)))
         assert np.argmax(orc.fs) == k
 
+    @pytest.mark.parametrize("p,r", [
+        ((0.25, 0.75), (0.2, 0.6)),
+        ((0.3, 0.7), (0.5, 0.25)),
+        ((0.45, 0.55), (0.33, 0.66)),
+    ])
+    def test_unequal_ratio_bisection_matches_brentq(self, p, r):
+        """The vectorised bisection agrees with a brentq root per q.
+
+        brentq stops once the root lies within xtol + rtol |tau| of its
+        answer, and the bisection's answer is the midpoint of two adjacent
+        doubles, within one ulp of tau. Both read the sign of g from a sum
+        of two powers near 1, wrong by a few eps = 2.2e-16 at most, which
+        moves a root by at most that over |g'(tau)| >= min ln(1/r_i) (the
+        terms at the root sum to 1). Per tau, with 4 eps for each method:
+            e = xtol + rtol |tau| + ulp(tau) + 8 eps / min ln(1/r_i),
+        about 2.5e-14 at |tau| <= 8.6. alpha is a difference of two taus
+        over a span of 0.1, so |d alpha| <= 2e / 0.1 = 20e (about 5e-13);
+        f = q alpha - tau gives |d f| <= 5 * 20e + e = 101e (about 3e-12)
+        on q in [-5, 5].
+        """
+        from scipy.optimize import brentq
+
+        xtol, rtol, eps = 1e-14, 8.9e-16, np.finfo(float).eps
+
+        def tau_of(qi):
+            def g(t):
+                return p[0] ** qi * r[0] ** t + p[1] ** qi * r[1] ** t - 1.0
+            lo, hi = -100.0, 100.0
+            while g(lo) < 0:
+                lo *= 2
+            while g(hi) > 0:
+                hi *= 2
+            return brentq(g, lo, hi, xtol=xtol, rtol=rtol)
+
+        q = np.arange(-5, 5.001, 0.05)
+        taus = np.array([tau_of(qi) for qi in q])
+        alphas = (taus[2:] - taus[:-2]) / (q[2:] - q[:-2])
+        fs = q[1:-1] * alphas - taus[1:-1]
+        tau_max = np.max(np.abs(taus))
+        e = (xtol + rtol * tau_max + np.spacing(tau_max)
+             + 8 * eps / min(math.log(1 / r[0]), math.log(1 / r[1])))
+        orc = oracle_spectrum(SelfSimilarSpec(p=p, r=r, depth=5, S=100), q)
+        np.testing.assert_array_equal(orc.q_grid, q[1:-1])
+        assert np.max(np.abs(orc.alphas - alphas)) <= 20 * e
+        assert np.max(np.abs(orc.fs - fs)) <= 101 * e
+
     def test_coarse_grid_rejected(self):
         spec = SelfSimilarSpec(p=(0.25, 0.75), r=(0.2, 0.6), depth=5, S=100)
         with pytest.raises(GridTooCoarse):
@@ -137,6 +183,13 @@ class TestFarey:
         brute = {Fraction(p, q) for q in range(1, Q + 1)
                  for p in range(0, q + 1)}
         assert gen_farey(Q).sample_size == len(brute)
+
+    @pytest.mark.parametrize("Q", [2, 7, 30, 200])
+    def test_points_bit_identical_to_fraction_enumeration(self, Q):
+        expected = np.array(sorted({float(Fraction(p, q))
+                                    for q in range(1, Q + 1)
+                                    for p in range(0, q + 1)}))
+        assert gen_farey(Q).points.tobytes() == expected.tobytes()
 
     def test_count_200(self):
         assert gen_farey(200).sample_size == 12233
