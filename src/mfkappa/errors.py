@@ -49,9 +49,5 @@ class DepthTooLarge(MfkError):
     """Cascade depth would underflow interval lengths."""
 
 
-class GridTooCoarse(MfkError):
-    """q-grid step too large for stable finite differencing."""
-
-
 class FormatError(MfkError):
     """Malformed input file."""

@@ -63,9 +63,15 @@ class FragmentReport:
 @dataclass(frozen=True)
 class GeometryConfig:
     residual_tol: float = 0.02
-    min_run: int | None = None        # default: max(4, ceil(n/2))
+    min_run: int | None = None        # raised to 4; default: ceil(n/2)
     gap_threshold: float | None = None  # default: see default_gap_threshold
     tol: float = 0.2                  # cap-shape noise tolerance in f units
+
+    def __post_init__(self):
+        for name in ("residual_tol", "tol"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails this too
+                raise SpecError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +230,8 @@ def classify(spectrum: Spectrum,
     n = len(spectrum)
     gap_threshold = (config.gap_threshold if config.gap_threshold is not None
                      else default_gap_threshold(spectrum))
-    min_run = (config.min_run if config.min_run is not None
-               else max(4, math.ceil(n / 2)))
+    min_run = max(4, config.min_run if config.min_run is not None
+                  else math.ceil(n / 2))
     frag = detect_fragments(spectrum, gap_threshold)
     seg = (detect_segment(spectrum, config.residual_tol, min_run)
            if n >= min_run else SegmentReport(found=False))

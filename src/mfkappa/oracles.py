@@ -1,7 +1,7 @@
 """Synthetic dust generators with theoretically known spectra.
 
-Self-similar two-branch cascades have closed-form (equal ratios) or
-root-findable (unequal ratios) multifractal spectra, so they serve as
+Self-similar two-branch cascades have known multifractal spectra (Halsey
+et al., Phys. Rev. A 33, 1141, 1986; see oracle_spectrum), so they serve as
 ground-truth oracles for the histogram estimator. The Farey dust (all
 reduced fractions with bounded denominator) is meant as the qualitative
 decreasing-spectrum fixture, but that is unverified: it is an
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthTooLarge, GridTooCoarse, SpecError
+from .errors import DepthTooLarge, SpecError
 from .measure import CantorDust
 
 # cascade interval lengths must stay above double-precision underflow
@@ -113,49 +113,32 @@ def gen_superposed(spec_a: SelfSimilarSpec, spec_b: SelfSimilarSpec,
 
 
 def oracle_spectrum(spec: SelfSimilarSpec, q_grid) -> OracleSpectrum:
-    """Theoretical spectrum of the self-similar measure over a q grid.
+    """Legendre spectrum of the cascade over a q grid (Halsey et al. 1986).
 
-    Equal ratios r1 = r2 = r admit the closed form
-        alpha(q) = (p1^q ln p1 + p2^q ln p2) / ((p1^q + p2^q) ln r)
-        f(q)     = q alpha(q) - ln(p1^q + p2^q) / ln r.
-    Unequal ratios: tau(q) is the root of p1^q r1^tau + p2^q r2^tau = 1,
-    alpha = dtau/dq by centered differences, f = q alpha - tau. Endpoints
-    of the grid are dropped in that path.
+    tau(q) is the root of p1^q r1^-tau + p2^q r2^-tau = 1. With
+    v_i = p_i^q r_i^-tau, implicit differentiation gives
+        alpha(q) = tau'(q) = (v1 ln p1 + v2 ln p2) / (v1 ln r1 + v2 ln r2),
+    and f(q) = q alpha(q) - tau(q). Every q of the grid is kept.
     """
     q = np.asarray(q_grid, dtype=float)
-    if q.size < 3:
-        raise GridTooCoarse("q grid needs >= 3 points")
     p1, p2 = spec.p
     r1, r2 = spec.r
-    if r1 == r2:
-        ln_r = math.log(r1)
-        w1, w2 = p1 ** q, p2 ** q
-        z = w1 + w2
-        alphas = (w1 * math.log(p1) + w2 * math.log(p2)) / (z * ln_r)
-        fs = q * alphas - np.log(z) / ln_r
-        return OracleSpectrum(q, alphas, fs)
-
-    steps = np.diff(q)
-    if np.max(steps) > 0.05 + 1e-12:
-        raise GridTooCoarse("centered differencing needs grid step <= 0.05")
-
-    # g(t) = p1^q r1^t + p2^q r2^t - 1 strictly decreases in t. Term i is 1
-    # at t_i = -q ln p_i / ln r_i and at most 1/2 from t_i + ln 2 / ln(1/r_i)
-    # on, so g > 0 at min(t1, t2) and g <= 0 at the larger of those bounds.
+    ln_p1, ln_p2, ln_r1, ln_r2 = map(math.log, (p1, p2, r1, r2))
+    # g(t) = p1^q r1^-t + p2^q r2^-t - 1 strictly increases in t. Term i is 1
+    # at t_i = q ln p_i / ln r_i and at most 1/2 up to t_i + ln 2 / ln r_i,
+    # so g <= 0 at the smaller of those bounds and g > 0 at max(t1, t2).
     w1, w2 = p1 ** q, p2 ** q
-    t1, t2 = -q * math.log(p1) / math.log(r1), -q * math.log(p2) / math.log(r2)
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1 - math.log(2) / math.log(r1),
-                    t2 - math.log(2) / math.log(r2))
+    t1, t2 = q * ln_p1 / ln_r1, q * ln_p2 / ln_r2
+    lo = np.minimum(t1 + math.log(2) / ln_r1, t2 + math.log(2) / ln_r2)
+    hi = np.maximum(t1, t2)
     for _ in range(200):  # to adjacent doubles, or 1e-50 wide near tau=0
         mid = 0.5 * (lo + hi)
-        above = w1 * r1 ** mid + w2 * r2 ** mid > 1.0
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        above = w1 * r1 ** -mid + w2 * r2 ** -mid > 1.0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     taus = 0.5 * (lo + hi)
-    alphas = (taus[2:] - taus[:-2]) / (q[2:] - q[:-2])
-    q_in = q[1:-1]
-    fs = q_in * alphas - taus[1:-1]
-    return OracleSpectrum(q_in, alphas, fs)
+    v1, v2 = w1 * r1 ** -taus, w2 * r2 ** -taus
+    alphas = (v1 * ln_p1 + v2 * ln_p2) / (v1 * ln_r1 + v2 * ln_r2)
+    return OracleSpectrum(q, alphas, q * alphas - taus)
 
 
 def gen_farey(Q: int) -> CantorDust:

@@ -263,7 +263,13 @@ class TestErrorContract:
         ["sweep", "{dust}", "--boxes", "10,x", "--out-prefix", "{tmp}/sw"],
         ["analyze", "{dust}", "--boxes", "1", "--bins", "9", "--force"],
         ["classify", "{csv}", "--gap-threshold", "0"],
-    ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0"])
+        ["classify", "{csv}", "--segment-tol", "nan"],
+        ["classify", "{csv}", "--cap-tol", "nan"],
+        ["classify", "{csv}", "--segment-tol", "-1"],
+        ["classify", "{csv}", "--cap-tol", "-1"],
+    ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
+            "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
+            "cap-tol-negative"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")

@@ -252,6 +252,13 @@ class TestClassify:
         rep = classify(make_spectrum([0.7], [0.0]))
         assert rep.regime == "Indeterminate"
 
+    def test_min_run_below_four_runs_and_reports_four(self):
+        s = cap_with_run()
+        low = classify(s, GeometryConfig(residual_tol=1e-6, min_run=-3))
+        four = classify(s, GeometryConfig(residual_tol=1e-6, min_run=4))
+        assert low.config["min_run"] == 4
+        assert low.as_dict() == four.as_dict()
+
     def test_replay_determinism(self):
         s = cap_with_run()
         cfg = GeometryConfig(residual_tol=1e-6, min_run=5)

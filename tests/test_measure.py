@@ -1,9 +1,13 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from mfkappa.errors import BadBoxCount, BadWindow, EmptySignal, FormatError
-from mfkappa.measure import (CantorDust, EventSignal, cover, normalize_signal,
-                             read_dust, read_events, write_dust)
+from mfkappa.measure import (CantorDust, EventSignal, atomic_write, cover,
+                             normalize_signal, read_dust, read_events,
+                             write_dust)
 
 
 def test_normalize_midpoint():
@@ -80,6 +84,15 @@ def test_dust_roundtrip(tmp_path):
     write_dust(dust, path, header={"kind": "fixture"})
     back = read_dust(path)
     assert np.array_equal(back.points, dust.points)
+
+
+def test_atomic_write_honours_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        atomic_write(tmp_path / "out.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o644
 
 
 def test_read_events_with_metadata(tmp_path):

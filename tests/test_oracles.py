@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mfkappa.errors import DepthTooLarge, GridTooCoarse, SpecError
+from mfkappa.errors import DepthTooLarge, SpecError
 from mfkappa.oracles import (SelfSimilarSpec, gen_farey, gen_selfsimilar,
                              gen_superposed, gen_uniform, oracle_spectrum)
 
@@ -50,6 +50,36 @@ class TestSelfSimilarGen:
         assert np.all((pts < 0.25) | (pts > 0.75))
 
 
+# q in [-5, 5] in steps of 0.05, with 0 and 1 on the grid exactly
+Q_GRID = np.arange(-100, 101) / 20
+EPS = np.finfo(float).eps
+EQUAL_RATIOS = [((0.5, 0.5), (1 / 3, 1 / 3)), ((0.3, 0.7), (0.5, 0.5)),
+                ((0.4, 0.6), (0.3, 0.3)), ((0.1, 0.9), (0.45, 0.45))]
+UNEQUAL_RATIOS = [((0.25, 0.75), (0.2, 0.6)), ((0.3, 0.7), (0.5, 0.25)),
+                  ((0.45, 0.55), (0.33, 0.66)), ((0.1, 0.9), (0.7, 0.3))]
+
+
+def _oracle(p, r, q=Q_GRID):
+    return oracle_spectrum(SelfSimilarSpec(p=p, r=r, depth=5, S=100), q)
+
+
+def _brentq_tau(p, r, q, xtol, rtol):
+    """One brentq root per q of p1^q r1^-tau + p2^q r2^-tau = 1."""
+    from scipy.optimize import brentq
+
+    def tau_of(qi):
+        def g(t):
+            return p[0] ** qi * r[0] ** -t + p[1] ** qi * r[1] ** -t - 1.0
+        lo, hi = -100.0, 100.0
+        while g(lo) > 0:
+            lo *= 2
+        while g(hi) < 0:
+            hi *= 2
+        return brentq(g, lo, hi, xtol=xtol, rtol=rtol)
+
+    return np.array([tau_of(qi) for qi in q])
+
+
 class TestOracle:
     def test_symmetric_collapses_to_support_dimension(self):
         spec = SelfSimilarSpec(**MIDDLE_THIRD, depth=5, S=100)
@@ -64,10 +94,45 @@ class TestOracle:
         k = int(np.argmin(np.abs(orc.q_grid)))
         assert orc.fs[k] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p,r", EQUAL_RATIOS)
+    def test_equal_ratio_matches_closed_form(self, p, r):
+        """Equal ratios r1 = r2 = r give tau = ln(p1^q + p2^q) / ln r, so
+            alpha = (p1^q ln p1 + p2^q ln p2) / ((p1^q + p2^q) ln r).
+
+        tau: the bisection ends within one ulp of where its computed g
+        changes sign. g sums two terms <= 1, each a few correctly rounded
+        operations, so it is off by at most 4 eps, which moves the root by
+        at most 4 eps / g' with g' = sum v_i ln(1/r) = ln(1/r). The closed
+        form's ln z is off by 3 eps + eps |ln z|, so its tau by
+        3 eps / ln(1/r) + 2 eps |tau|. Together:
+            e_tau = ulp(tau) + 7 eps / ln(1/r) + 2 eps |tau|.
+        alpha: both sides divide a sum of two same-sign products by another;
+        the factor r^-tau the oracle puts on both products is the same
+        double, so it cancels to within rounding. Each side is within 7 eps
+        relative, so |d alpha| <= 14 eps |alpha|. f = q alpha - tau adds
+        2 eps (|q alpha| + |tau|) of rounding on each side.
+        """
+        q = Q_GRID
+        ln_r = math.log(r[0])
+        w1, w2 = p[0] ** q, p[1] ** q
+        z = w1 + w2
+        alphas = (w1 * math.log(p[0]) + w2 * math.log(p[1])) / (z * ln_r)
+        taus = np.log(z) / ln_r
+        fs = q * alphas - taus
+        orc = _oracle(p, r)
+        np.testing.assert_array_equal(orc.q_grid, q)
+        e_tau = (np.spacing(np.abs(taus)) + 7 * EPS / -ln_r
+                 + 2 * EPS * np.abs(taus))
+        e_alpha = 14 * EPS * np.abs(alphas)
+        e_f = (np.abs(q) * e_alpha + e_tau
+               + 4 * EPS * (np.abs(q * alphas) + np.abs(taus)))
+        assert np.all(np.abs(orc.alphas - alphas) <= e_alpha)
+        assert np.all(np.abs(orc.fs - fs) <= e_f)
+
     @pytest.mark.parametrize("p,r", [
         ((0.3, 0.7), (0.5, 0.5)),
         ((0.4, 0.6), (0.3, 0.3)),
-        ((0.25, 0.75), (0.2, 0.6)),   # unequal ratios: numeric route
+        ((0.25, 0.75), (0.2, 0.6)),   # unequal ratios
     ])
     def test_tangency_at_q_one(self, p, r):
         spec = SelfSimilarSpec(p=p, r=r, depth=5, S=100)
@@ -81,9 +146,69 @@ class TestOracle:
         spec = SelfSimilarSpec(p=p, r=r, depth=5, S=100)
         orc = oracle_spectrum(spec, np.arange(-4, 4.001, 0.05))
         taus = orc.q_grid * orc.alphas - orc.fs
-        res = (p[0] ** orc.q_grid * r[0] ** taus
-               + p[1] ** orc.q_grid * r[1] ** taus - 1.0)
+        res = (p[0] ** orc.q_grid * r[0] ** -taus
+               + p[1] ** orc.q_grid * r[1] ** -taus - 1.0)
         assert np.max(np.abs(res)) <= 1e-10
+
+    @pytest.mark.parametrize("p,r", UNEQUAL_RATIOS)
+    def test_f_at_zero_is_moran_dimension(self, p, r):
+        """f(0) = -tau(0) is the support dimension D0: r1^D0 + r2^D0 = 1.
+
+        h(D) = r1^D + r2^D - 1 has |h'| = sum r_i^D ln(1/r_i) >= c =
+        min ln(1/r_i) at the root, so brentq's D0 is within
+        xtol + rtol D0 + 4 eps / c, and the oracle's tau(0) within
+        ulp(D0) + 4 eps / c (see the brentq agreement test).
+        """
+        from scipy.optimize import brentq
+
+        xtol, rtol = 1e-14, 8.9e-16
+        d0 = brentq(lambda d: r[0] ** d + r[1] ** d - 1.0, 0.0, 1.0,
+                    xtol=xtol, rtol=rtol)
+        c = min(math.log(1 / r[0]), math.log(1 / r[1]))
+        orc = _oracle(p, r)
+        f0 = orc.fs[orc.q_grid == 0.0]
+        assert f0.size == 1
+        assert abs(f0[0] - d0) <= (xtol + rtol * d0 + np.spacing(d0)
+                                   + 8 * EPS / c)
+
+    @pytest.mark.parametrize("p,r", UNEQUAL_RATIOS)
+    def test_alpha_positive(self, p, r):
+        """alpha is a weighted mean of the ln p_i / ln r_i, all positive."""
+        assert np.all(_oracle(p, r).alphas > 0)
+
+    @pytest.mark.parametrize("p,r", EQUAL_RATIOS)
+    def test_continuous_as_r2_approaches_r1(self, p, r):
+        """Moving r2 from r1 = r to r - delta moves alpha and f by O(delta).
+
+        g(tau) = sum v_i - 1 with v_i = p_i^q r_i^-tau is smooth in r2, and
+        dg/dtau = sum v_i ln(1/r_i) >= c = ln(1/r1) > 0, so the implicit
+        function theorem makes tau, v_i, alpha and f smooth in r2. With
+        a_i = ln p_i, b_i = ln r_i and D = sum v_i b_i (|D| >= c):
+            dtau/dr2 = tau v2 / (r2 |D|),       |.| <= L_tau = |tau| / (r2 c)
+            dv2/dr2 = v2 (ln(1/r2) dtau/dr2 - tau / r2),
+                                      |.| <= L_v = |tau| / r2 + ln(1/r2) L_tau
+            dalpha/dr2 = (dv2 (a2 - a1) - alpha (dv2 (b2 - b1) + v2 / r2)) / D,
+                    |.| <= L_alpha = (L_v (|a2 - a1| + |alpha| |b2 - b1|)
+                                      + |alpha| / r2) / c
+            df/dr2 = q dalpha/dr2 - dtau/dr2,   |.| <= |q| L_alpha + L_tau.
+        The bounds are read at r2 = r and doubled, which covers their own
+        O(delta) drift over [r - delta, r]. The output's rounding (see the
+        closed-form test) is far below delta = 1e-7 times these.
+        """
+        delta = 1e-7
+        r2 = r[1] - delta
+        ref, moved = _oracle(p, r), _oracle(p, (r[0], r2))
+        np.testing.assert_array_equal(moved.q_grid, ref.q_grid)
+        q, alpha = ref.q_grid, np.abs(ref.alphas)
+        tau = np.abs(q * ref.alphas - ref.fs)
+        c = math.log(1 / r[0])
+        l_tau = tau / (r2 * c)
+        l_v = tau / r2 + math.log(1 / r2) * l_tau
+        l_alpha = (l_v * (abs(math.log(p[1] / p[0]))
+                          + alpha * math.log(r[0] / r2)) + alpha / r2) / c
+        l_f = np.abs(q) * l_alpha + l_tau
+        assert np.all(np.abs(moved.alphas - ref.alphas) <= 2 * l_alpha * delta)
+        assert np.all(np.abs(moved.fs - ref.fs) <= 2 * l_f * delta)
 
     def test_alpha_monotone_and_cap(self):
         spec = SelfSimilarSpec(p=(0.3, 0.7), r=(0.5, 0.5), depth=5, S=100)
@@ -99,50 +224,50 @@ class TestOracle:
         ((0.45, 0.55), (0.33, 0.66)),
     ])
     def test_unequal_ratio_bisection_matches_brentq(self, p, r):
-        """The vectorised bisection agrees with a brentq root per q.
+        """tau agrees with a brentq root per q, and alpha with brentq's
+        centred differences.
 
-        brentq stops once the root lies within xtol + rtol |tau| of its
+        tau: brentq stops once the root lies within xtol + rtol |tau| of its
         answer, and the bisection's answer is the midpoint of two adjacent
         doubles, within one ulp of tau. Both read the sign of g from a sum
-        of two powers near 1, wrong by a few eps = 2.2e-16 at most, which
-        moves a root by at most that over |g'(tau)| >= min ln(1/r_i) (the
-        terms at the root sum to 1). Per tau, with 4 eps for each method:
-            e = xtol + rtol |tau| + ulp(tau) + 8 eps / min ln(1/r_i),
-        about 2.5e-14 at |tau| <= 8.6. alpha is a difference of two taus
-        over a span of 0.1, so |d alpha| <= 2e / 0.1 = 20e (about 5e-13);
-        f = q alpha - tau gives |d f| <= 5 * 20e + e = 101e (about 3e-12)
-        on q in [-5, 5].
+        of two powers near 1, wrong by a few eps, which moves a root by at
+        most that over g'(tau) = sum v_i ln(1/r_i) >= c = min ln(1/r_i)
+        (the v_i = p_i^q r_i^-tau sum to 1 at the root). Per tau, with
+        4 eps for each method:
+            e = xtol + rtol |tau| + ulp(tau) + 8 eps / c.
+        Reading the oracle's tau back as q alpha - f adds
+        2 eps (|q alpha| + |f|).
+
+        alpha: with a_i = ln p_i, b_i = ln r_i and s_i = a_i - alpha b_i,
+        differentiating sum v_i = 1 three times in q gives
+            tau''  = sum v s^2 / sum v b,
+            tau''' = (sum v s^3 - 3 tau'' sum v s b) / sum v b.
+        alpha is a weighted mean of the a_i / b_i, whose spread is d, so
+        |s_i| <= b d with b = max |b_i|, and |sum v b| >= c. Hence
+            |tau'''| <= M = b^3 d^3 / c + 3 b^4 d^3 / c^2.
+        A centred difference of step h misses tau' by at most h^2 M / 6,
+        and brentq's error e in each tau adds e / h.
         """
-        from scipy.optimize import brentq
+        xtol, rtol = 1e-14, 8.9e-16
+        q, h = Q_GRID, 0.05
+        taus = _brentq_tau(p, r, q, xtol, rtol)
+        orc = _oracle(p, r)
+        np.testing.assert_array_equal(orc.q_grid, q)
 
-        xtol, rtol, eps = 1e-14, 8.9e-16, np.finfo(float).eps
+        c = min(math.log(1 / r[0]), math.log(1 / r[1]))
+        e = (xtol + rtol * np.abs(taus) + np.spacing(np.abs(taus))
+             + 8 * EPS / c)
+        read_back = 2 * EPS * (np.abs(q * orc.alphas) + np.abs(orc.fs))
+        assert np.all(np.abs(q * orc.alphas - orc.fs - taus)
+                      <= e + read_back)
 
-        def tau_of(qi):
-            def g(t):
-                return p[0] ** qi * r[0] ** t + p[1] ** qi * r[1] ** t - 1.0
-            lo, hi = -100.0, 100.0
-            while g(lo) < 0:
-                lo *= 2
-            while g(hi) > 0:
-                hi *= 2
-            return brentq(g, lo, hi, xtol=xtol, rtol=rtol)
-
-        q = np.arange(-5, 5.001, 0.05)
-        taus = np.array([tau_of(qi) for qi in q])
-        alphas = (taus[2:] - taus[:-2]) / (q[2:] - q[:-2])
-        fs = q[1:-1] * alphas - taus[1:-1]
-        tau_max = np.max(np.abs(taus))
-        e = (xtol + rtol * tau_max + np.spacing(tau_max)
-             + 8 * eps / min(math.log(1 / r[0]), math.log(1 / r[1])))
-        orc = oracle_spectrum(SelfSimilarSpec(p=p, r=r, depth=5, S=100), q)
-        np.testing.assert_array_equal(orc.q_grid, q[1:-1])
-        assert np.max(np.abs(orc.alphas - alphas)) <= 20 * e
-        assert np.max(np.abs(orc.fs - fs)) <= 101 * e
-
-    def test_coarse_grid_rejected(self):
-        spec = SelfSimilarSpec(p=(0.25, 0.75), r=(0.2, 0.6), depth=5, S=100)
-        with pytest.raises(GridTooCoarse):
-            oracle_spectrum(spec, np.arange(-5, 5.1, 0.5))
+        ratios = [math.log(p[i]) / math.log(r[i]) for i in (0, 1)]
+        b = max(math.log(1 / r[0]), math.log(1 / r[1]))
+        d = abs(ratios[0] - ratios[1])
+        m = b ** 3 * d ** 3 / c + 3 * b ** 4 * d ** 3 / c ** 2
+        centred = (taus[2:] - taus[:-2]) / (2 * h)
+        bound = h ** 2 * m / 6 + np.max(e) / h
+        assert np.max(np.abs(orc.alphas[1:-1] - centred)) <= bound
 
 
 class TestSuperposed:
