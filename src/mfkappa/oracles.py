@@ -36,15 +36,16 @@ class SelfSimilarSpec:
     def __post_init__(self):
         p1, p2 = self.p
         r1, r2 = self.r
-        if abs(p1 + p2 - 1.0) > 1e-12:
+        # stated as what must hold, so NaN fails every check
+        if not abs(p1 + p2 - 1.0) <= 1e-12:
             raise SpecError(f"weights must sum to 1, got {p1 + p2!r}")
-        if p1 <= 0 or p2 <= 0:
+        if not (p1 > 0 and p2 > 0):
             raise SpecError("weights must be strictly positive")
-        if r1 <= 0 or r2 <= 0 or r1 + r2 > 1.0 + 1e-12:
+        if not (r1 > 0 and r2 > 0 and r1 + r2 <= 1.0 + 1e-12):
             raise SpecError("ratios must be positive with r1 + r2 <= 1")
-        if self.depth < 1:
+        if not self.depth >= 1:
             raise SpecError("depth must be >= 1")
-        if self.S < 1:
+        if not self.S >= 1:
             raise SpecError("sample size must be >= 1")
 
     def as_dict(self) -> dict:

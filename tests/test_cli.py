@@ -267,9 +267,13 @@ class TestErrorContract:
         ["classify", "{csv}", "--cap-tol", "nan"],
         ["classify", "{csv}", "--segment-tol", "-1"],
         ["classify", "{csv}", "--cap-tol", "-1"],
+        ["generate", "selfsimilar", "--p", "nan", "--depth", "4", "--S",
+         "10", "--out", "{tmp}/nan.txt"],
+        ["generate", "selfsimilar", "--r", "nan", "--depth", "4", "--S",
+         "10", "--out", "{tmp}/nan.txt"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
-            "cap-tol-negative"])
+            "cap-tol-negative", "selfsimilar-p-nan", "selfsimilar-r-nan"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")

@@ -7,8 +7,9 @@ import pytest
 from mfkappa.errors import NeedsSweep, TooFewPoints
 from mfkappa.geometry import (GeometryConfig, SegmentReport,
                               SpectrumFeatures, _line_fit_residual,
-                              cap_shape_check, classify, compare_sweep,
-                              detect_fragments, detect_segment, features)
+                              _window_screen, cap_shape_check, classify,
+                              compare_sweep, detect_fragments,
+                              detect_segment, features)
 from mfkappa.spectrum import Spectrum, SpectrumParams
 
 
@@ -197,6 +198,91 @@ class TestSegment:
             assert astuple(new) == astuple(exhaustive(spec, tol, min_run))
             found += new.found
         assert 100 < found < 900
+
+
+def fit_every_window(spectrum, residual_tol, min_run):
+    """detect_segment before the screen: polyfit on every window of every
+    run length, longest first."""
+    min_run = max(4, min_run)
+    alphas, fs = spectrum.alphas, spectrum.fs
+    n = fs.size
+    for length in range(n, min_run - 1, -1):
+        hits = []
+        for i in range(n - length + 1):
+            j = i + length - 1
+            slope, resid = _line_fit_residual(alphas[i:j + 1], fs[i:j + 1])
+            if resid <= residual_tol:
+                hits.append((resid, i, j, slope))
+        if hits:
+            resid, i, j, slope = min(hits)
+            return SegmentReport(found=True, run=(i, j), slope=slope,
+                                 residual=resid)
+    return SegmentReport(found=False)
+
+
+def fuzz_spectra(seed, count):
+    """Spectra with n from 1 to 60, alpha offsets up to 1e3, tied f values,
+    exactly collinear (zero-residual) runs, noisy lines and caps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 61))
+        offset = float(rng.choice([0.0, 1.0, 10.0, 1e3]))
+        alphas = offset + np.cumsum(rng.choice([0.05, 0.125, 0.25], n))
+        centred = alphas - alphas.mean()
+        kind = rng.integers(5)
+        if kind == 0:    # few f levels: tied values and tied windows
+            fs = rng.choice([0.0, 0.25, 0.5], n)
+        elif kind == 1:  # zero runs fit exactly: tied residuals of 0.0
+            fs = np.where(rng.random(n) < 0.15, 0.5, 0.0)
+        elif kind == 2:  # a line with small noise
+            fs = 0.5 + rng.uniform(-3, 3) * centred + \
+                rng.uniform(-0.01, 0.01, n)
+        elif kind == 3:  # a cap
+            fs = 1 - centred ** 2
+        else:            # noise
+            fs = rng.random(n)
+        tol = float(rng.choice([1e-12, 0.01, 0.02, 0.1, 0.3]))
+        yield make_spectrum(alphas, fs), tol, int(rng.integers(1, 12))
+
+
+class TestSegmentScreen:
+    def test_matches_fitting_every_window(self):
+        found = 0
+        for spec, tol, min_run in fuzz_spectra(31, 120):
+            new = detect_segment(spec, tol, min_run)
+            assert astuple(new) == astuple(fit_every_window(spec, tol,
+                                                            min_run))
+            found += new.found
+        assert 20 < found < 100
+
+    def test_margin_bounds_screen_error_on_every_window(self):
+        windows = 0
+        for spec, _, _ in fuzz_spectra(32, 60):
+            alphas, fs = spec.alphas, spec.fs
+            for length in range(4, fs.size + 1):
+                screened, margin = _window_screen(alphas, fs, length)
+                fitted = [_line_fit_residual(alphas[i:i + length],
+                                             fs[i:i + length])[1]
+                          for i in range(fs.size - length + 1)]
+                assert np.all(np.abs(screened - fitted) <= margin)
+                windows += len(fitted)
+        assert windows > 10_000
+
+    def test_window_at_exactly_the_tolerance_is_kept(self):
+        """residual_tol set to polyfit's own residual of the whole run: the
+        run is a hit, although the screen may read a hair above it."""
+        rng = np.random.default_rng(33)
+        screen_above = 0
+        for _ in range(40):
+            n = int(rng.integers(4, 30))
+            alphas = 1e3 + np.cumsum(rng.choice([0.05, 0.125, 0.25], n))
+            fs = 0.5 * (alphas - 1e3) + rng.uniform(-0.01, 0.01, n)
+            spec = make_spectrum(alphas, fs)
+            slope, tol = _line_fit_residual(alphas, fs)
+            rep = detect_segment(spec, residual_tol=tol, min_run=n)
+            assert astuple(rep) == (True, (0, n - 1), slope, tol)
+            screen_above += _window_screen(alphas, fs, n)[0][0] > tol
+        assert screen_above > 0  # the margin, not luck, kept some of them
 
 
 class TestFragments:

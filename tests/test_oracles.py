@@ -30,6 +30,15 @@ class TestSelfSimilarGen:
         with pytest.raises(SpecError):
             SelfSimilarSpec(p=(0.5, 0.5), r=(0.7, 0.7), depth=3, S=10)
 
+    @pytest.mark.parametrize("p, r", [
+        ((math.nan, math.nan), (0.3, 0.3)),
+        ((0.5, 0.5), (math.nan, 0.3)),
+        ((0.5, 0.5), (0.3, math.nan)),
+    ], ids=["p-nan", "r1-nan", "r2-nan"])
+    def test_nan_rejected(self, p, r):
+        with pytest.raises(SpecError):
+            SelfSimilarSpec(p=p, r=r, depth=3, S=10)
+
     def test_determinism(self):
         spec = SelfSimilarSpec(p=(0.3, 0.7), r=(0.5, 0.5), depth=13,
                                S=1000, seed=7)

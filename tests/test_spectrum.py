@@ -193,6 +193,52 @@ def edge_dusts(draw):
     return CantorDust(np.array(points)), B
 
 
+def bincount_cover(dust, B):
+    """The keyed kernel cover replaced: every point keyed, then counted."""
+    idx = (dust.points * B).astype(np.int64)
+    np.clip(idx, 0, B - 1, out=idx)
+    return np.bincount(idx, minlength=B)
+
+
+def assert_cover_matches_bincount(dust, B):
+    counts = cover(dust, B).counts
+    expected = bincount_cover(dust, B)
+    assert counts.dtype == expected.dtype
+    assert np.array_equal(counts, expected)
+
+
+@given(edge_dusts())
+def test_cover_matches_bincount_on_edge_dusts(dust_and_B):
+    assert_cover_matches_bincount(*dust_and_B)
+
+
+@pytest.mark.parametrize("points, B", [
+    ([0.5], 2),                      # S = 1
+    ([0.3] * 7, 10),                 # all points equal
+    ([1.0] * 5, 4),                  # all points at the closed end
+    ([0.0] * 3 + [1.0] * 3, 1000),   # B > S: the forced path
+    (np.arange(4) / 17, 1000),
+], ids=["S-1", "all-equal", "all-at-one", "ends-B-gt-S", "edges-B-gt-S"])
+def test_cover_matches_bincount_on_degenerate_dusts(points, B):
+    assert_cover_matches_bincount(CantorDust(np.array(points, float)), B)
+
+
+@pytest.mark.parametrize("B", [2, 3, 7, 10, 64, 1000])
+def test_cover_matches_bincount_an_ulp_off_every_edge(B):
+    edges = np.arange(B + 1) / B
+    points = np.concatenate([edges, np.nextafter(edges, -1.0),
+                             np.nextafter(edges, 2.0)])
+    dust = CantorDust(np.clip(points, 0.0, 1.0))
+    assert_cover_matches_bincount(dust, B)
+
+
+@pytest.mark.parametrize("B", [2, 81, 1000, 2049])
+def test_cover_matches_bincount_at_large_S(B):
+    rng = np.random.default_rng(B)
+    dust = CantorDust(rng.random(2**20 + 3) ** 2)  # S not a power of two
+    assert_cover_matches_bincount(dust, B)
+
+
 @given(edge_dusts(), st.integers(1, 12))
 def test_estimate_keeps_spectrum_invariant(dust_and_B, A):
     dust, B = dust_and_B
