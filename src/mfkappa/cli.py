@@ -1,7 +1,13 @@
 """Command-line interface: generate | analyze | classify | sweep | plot.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 bad generator spec or bad
-flags, 3 sizing refusal; an MfkError carries its code as exit_code.
+A thin shell over the library. `mfk generate` has one sub-parser per dust
+kind, each taking only the flags that kind reads, so a flag meant for
+another kind is refused rather than ignored. Classify flags that are not
+given leave GeometryConfig's defaults in force. Every failure, a bad flag
+included, ends in main's one handler: a single `error:` line on stderr and
+the exit code the error class carries (MfkError.exit_code, which an
+OSError shares with the base class): 1 I/O or parse failure, 2 bad
+generator spec or bad flags, 3 sizing refusal.
 """
 
 from __future__ import annotations
@@ -9,24 +15,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import geometry, oracles, spectrum
 from .errors import MfkError, SizingViolation, SpecError
 from .measure import atomic_write, read_dust, write_dust
 from .spectrum import SizingStatus
 
-EXIT_OK = 0
-EXIT_IO = 1
-EXIT_SIZING = 3
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag is a SpecError, reported by main
+        raise SpecError(f"{self.prog}: {message}")
 
 
-def _warn(msg: str) -> None:
-    tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
-    sys.stderr.write(f"{tag} {msg}\n")
-
-
-def _error(msg: str) -> None:
-    sys.stderr.write(f"error: {msg}\n")
+def _emit(text: str, out) -> None:
+    if out:
+        atomic_write(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_spec(path) -> oracles.SelfSimilarSpec:
@@ -37,39 +43,38 @@ def _load_spec(path) -> oracles.SelfSimilarSpec:
             raise SpecError(f"{path}: bad spec: {type(exc).__name__}: {exc}")
 
 
-def _selfsimilar_spec_from_args(args) -> oracles.SelfSimilarSpec:
-    if args.spec:
-        return _load_spec(args.spec)
-    r1 = args.r
-    r2 = args.r2 if args.r2 is not None else args.r
-    return oracles.SelfSimilarSpec(
-        p=(args.p, 1.0 - args.p), r=(r1, r2), depth=args.depth,
-        S=args.S, seed=args.seed)
+# Each generator maps its kind's flags to (dust, header).
+def _selfsimilar(args):
+    r2 = args.r if args.r2 is None else args.r2
+    spec = oracles.SelfSimilarSpec(p=(args.p, 1.0 - args.p), r=(args.r, r2),
+                                   depth=args.depth, S=args.S, seed=args.seed)
+    return oracles.gen_selfsimilar(spec), {
+        "kind": "selfsimilar", "spec": json.dumps(spec.as_dict())}
 
 
-def cmd_generate(args) -> int:
-    if args.kind == "farey":
-        dust = oracles.gen_farey(args.Q)
-        header = {"kind": "farey", "Q": args.Q}
-    elif args.kind == "uniform":
-        dust = oracles.gen_uniform(args.S, mode=args.mode, seed=args.seed)
-        header = {"kind": "uniform", "S": args.S, "mode": args.mode,
-                  "seed": args.seed}
-    elif args.kind == "selfsimilar":
-        spec = _selfsimilar_spec_from_args(args)
-        dust = oracles.gen_selfsimilar(spec)
-        header = {"kind": "selfsimilar", "spec": json.dumps(spec.as_dict())}
-    else:  # superposed
-        spec_a = _load_spec(args.spec_a)
-        spec_b = _load_spec(args.spec_b)
-        dust = oracles.gen_superposed(spec_a, spec_b, args.mix,
-                                      disjoint=args.disjoint)
-        header = {"kind": "superposed", "mix": args.mix,
+def _superposed(args):
+    spec_a, spec_b = _load_spec(args.spec_a), _load_spec(args.spec_b)
+    dust = oracles.gen_superposed(spec_a, spec_b, args.mix,
+                                  disjoint=args.disjoint)
+    return dust, {"kind": "superposed", "mix": args.mix,
                   "disjoint": args.disjoint,
                   "spec_a": json.dumps(spec_a.as_dict()),
                   "spec_b": json.dumps(spec_b.as_dict())}
+
+
+def _farey(args):
+    return oracles.gen_farey(args.Q), {"kind": "farey", "Q": args.Q}
+
+
+def _uniform(args):
+    dust = oracles.gen_uniform(args.S, mode=args.mode, seed=args.seed)
+    return dust, {"kind": "uniform", "S": args.S, "mode": args.mode,
+                  "seed": args.seed}
+
+
+def cmd_generate(args) -> None:
+    dust, header = args.make(args)
     write_dust(dust, args.out, header=header)
-    return EXIT_OK
 
 
 def _resolve_sizing(args, S: int) -> tuple[int, int]:
@@ -83,43 +88,31 @@ def _resolve_sizing(args, S: int) -> tuple[int, int]:
     return args.boxes, args.bins
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     dust = read_dust(args.input)
     B, A = _resolve_sizing(args, dust.sample_size)
     try:
         spec = spectrum.estimate(dust, B, A, force=args.force)
     except SizingViolation as exc:
-        _error(f"sizing violation: {exc} (use --force to override)")
-        return EXIT_SIZING
+        raise SizingViolation(f"sizing violation: {exc} "
+                              "(use --force to override)") from None
     if spec.params.sizing.status is SizingStatus.WARNING:
+        tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
         for msg in spec.params.sizing.messages:
-            _warn(msg)
-    text = spectrum.format_spectrum_csv(spec)
-    if args.out:
-        atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+            sys.stderr.write(f"{tag} {msg}\n")
+    _emit(spectrum.format_spectrum_csv(spec), args.out)
 
 
-def _geometry_config(args) -> geometry.GeometryConfig:
-    return geometry.GeometryConfig(
-        residual_tol=args.segment_tol, min_run=args.min_run,
-        gap_threshold=args.gap_threshold, tol=args.cap_tol)
-
-
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     spec = spectrum.read_spectrum_csv(args.input)
-    report = geometry.classify(spec, _geometry_config(args))
-    text = report.to_json() + "\n"
-    if args.out:
-        atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    given = {f.name: getattr(args, f.name)
+             for f in fields(geometry.GeometryConfig)
+             if getattr(args, f.name) is not None}
+    report = geometry.classify(spec, geometry.GeometryConfig(**given))
+    _emit(report.to_json() + "\n", args.out)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     dust = read_dust(args.input)
     try:
         B_list = [int(b) for b in args.boxes.split(",") if b]
@@ -132,71 +125,74 @@ def cmd_sweep(args) -> int:
     entries = spectrum.sweep_boxes(dust, B_list, A, force=args.force)
     ok_entries = [e for e in entries if e.spectrum is not None]
     if not ok_entries:
-        _error("every sweep entry failed")
-        for e in entries:
-            _error(f"  B={e.B}: {e.error}")
-        return EXIT_SIZING
+        raise SizingViolation("every sweep entry failed: " + "; ".join(
+            f"B={e.B}: {e.error}" for e in entries))
     csv_paths = {}
     for e in ok_entries:
         path = f"{args.out_prefix}_B{e.B}.csv"
         spectrum.write_spectrum_csv(e.spectrum, path)
         csv_paths[e.B] = path
-    report = {
-        "A": A,
-        "entries": [
-            {"B": e.B, "csv": csv_paths.get(e.B), "error": e.error}
-            for e in entries
-        ],
-    }
-    if len(ok_entries) >= 2:
-        feats = [geometry.features(e.spectrum) for e in ok_entries]
-        report["trend"] = geometry.compare_sweep(feats)
-    else:
-        report["trend"] = "NeedsSweep"
-    report_path = f"{args.out_prefix}_report.json"
-    atomic_write(report_path, json.dumps(report, indent=2) + "\n")
-    return EXIT_OK
+    report = {"A": A, "entries": [
+        {"B": e.B, "csv": csv_paths.get(e.B), "error": e.error}
+        for e in entries]}
+    feats = [geometry.features(e.spectrum) for e in ok_entries]
+    report["trend"] = (geometry.compare_sweep(feats) if len(feats) >= 2
+                       else "NeedsSweep")
+    atomic_write(f"{args.out_prefix}_report.json",
+                 json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     from .svgplot import render_spectra_svg
     spectra = [spectrum.read_spectrum_csv(p) for p in args.inputs]
     svg = render_spectra_svg(spectra, gap_threshold=args.gap_threshold)
     atomic_write(args.out, svg)
-    return EXIT_OK
+
+
+def _generate_parsers(kinds) -> None:
+    sample = argparse.ArgumentParser(add_help=False)  # sampled dusts' flags
+    sample.add_argument("--S", type=int, default=10_000)
+    sample.add_argument("--seed", type=int, default=0)
+
+    def kind(name, make, summary, parents=()):
+        k = kinds.add_parser(name, help=summary, parents=list(parents))
+        k.add_argument("--out", required=True)
+        k.set_defaults(func=cmd_generate, make=make)
+        return k
+
+    k = kind("selfsimilar", _selfsimilar, "two-branch cascade", [sample])
+    k.add_argument("--p", type=float, default=0.5,
+                   help="first cascade weight (second is 1-p)")
+    k.add_argument("--r", type=float, default=1 / 3,
+                   help="first contraction ratio")
+    k.add_argument("--r2", type=float, default=None,
+                   help="second contraction ratio (defaults to --r)")
+    k.add_argument("--depth", type=int, default=13)
+
+    k = kind("superposed", _superposed, "mixture of two cascades")
+    k.add_argument("--spec-a", required=True, help="first spec JSON file")
+    k.add_argument("--spec-b", required=True, help="second spec JSON file")
+    k.add_argument("--mix", type=float, default=0.5)
+    k.add_argument("--disjoint", action="store_true",
+                   help="place the two measures on disjoint half-segments")
+
+    k = kind("farey", _farey, "reduced fractions in [0,1]")
+    k.add_argument("--Q", type=int, default=200, help="max denominator")
+
+    k = kind("uniform", _uniform, "uniform dust", [sample])
+    k.add_argument("--mode", choices=["equispaced", "random"],
+                   default="equispaced")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mfk",
         description="Multifractal spectra of Cantor dusts by the histogram "
                     "method, with regime classification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic dust file")
-    g.add_argument("kind",
-                   choices=["selfsimilar", "superposed", "farey", "uniform"])
-    g.add_argument("--p", type=float, default=0.5,
-                   help="first cascade weight (second is 1-p)")
-    g.add_argument("--r", type=float, default=1 / 3,
-                   help="first contraction ratio")
-    g.add_argument("--r2", type=float, default=None,
-                   help="second contraction ratio (defaults to --r)")
-    g.add_argument("--depth", type=int, default=13)
-    g.add_argument("--S", type=int, default=10_000)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--Q", type=int, default=200,
-                   help="max denominator for farey")
-    g.add_argument("--mode", choices=["equispaced", "random"],
-                   default="equispaced")
-    g.add_argument("--spec", help="selfsimilar spec JSON file")
-    g.add_argument("--spec-a", help="first spec JSON (superposed)")
-    g.add_argument("--spec-b", help="second spec JSON (superposed)")
-    g.add_argument("--mix", type=float, default=0.5)
-    g.add_argument("--disjoint", action="store_true",
-                   help="place the two measures on disjoint half-segments")
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
+    _generate_parsers(g.add_subparsers(dest="kind", required=True))
 
     a = sub.add_parser("analyze", help="estimate a spectrum from a dust file")
     a.add_argument("input")
@@ -208,12 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", default=None)
     a.set_defaults(func=cmd_analyze)
 
+    # dest names are GeometryConfig's fields; unset, its defaults hold
     c = sub.add_parser("classify", help="classify a spectrum CSV")
     c.add_argument("input")
-    c.add_argument("--gap-threshold", type=float, default=None)
-    c.add_argument("--segment-tol", type=float, default=0.02)
-    c.add_argument("--min-run", type=int, default=None)
-    c.add_argument("--cap-tol", type=float, default=0.2)
+    c.add_argument("--gap-threshold", type=float)
+    c.add_argument("--segment-tol", type=float, dest="residual_tol")
+    c.add_argument("--min-run", type=int)
+    c.add_argument("--cap-tol", type=float, dest="tol")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_classify)
 
@@ -236,15 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except MfkError as exc:
-        _error(str(exc))
-        return exc.exit_code
-    except OSError as exc:
-        _error(str(exc))
-        return EXIT_IO
+        args = build_parser().parse_args(argv)
+        args.func(args)
+    except (MfkError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return getattr(exc, "exit_code", MfkError.exit_code)
+    return 0
 
 
 if __name__ == "__main__":

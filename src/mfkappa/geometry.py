@@ -95,7 +95,14 @@ class RegimeReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+        """as_dict as strict JSON (RFC 8259), which has no Infinity: an
+        infinite gap_threshold, under which no spacing splits the curve, is
+        written as null."""
+        d = self.as_dict()
+        for part in (d["fragmentation"], d["config"]):
+            if math.isinf(part["gap_threshold"]):
+                part["gap_threshold"] = None
+        return json.dumps(d, indent=indent, allow_nan=False)
 
 
 def features(spectrum: Spectrum) -> SpectrumFeatures:
@@ -131,7 +138,8 @@ def compare_sweep(features_list) -> dict:
     }
 
 
-def cap_shape_check(spectrum: Spectrum, tol: float = 0.02) -> CapShapeResult:
+def cap_shape_check(spectrum: Spectrum,
+                    tol: float = GeometryConfig.tol) -> CapShapeResult:
     """Single-peak test: no interior point sits more than tol below both
     neighbours. A peak at either end passes but is flagged degenerate."""
     fs = spectrum.fs
@@ -185,7 +193,8 @@ def _window_screen(alphas, fs, length):
     return resid, 16 * length ** 2 * np.finfo(float).eps * scale
 
 
-def detect_segment(spectrum: Spectrum, residual_tol: float = 0.02,
+def detect_segment(spectrum: Spectrum,
+                   residual_tol: float = GeometryConfig.residual_tol,
                    min_run: int = 4) -> SegmentReport:
     """Longest run of consecutive points collinear within residual_tol.
 

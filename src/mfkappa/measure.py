@@ -124,11 +124,12 @@ def read_rows(path, parse=float, header=None):
     """Read a text table: one row per line, converted by parse.
 
     Blank lines are skipped and '#' lines are comments; those of the form
-    '# key=value' are collected into meta. If header is given, a line equal
-    to it (case-insensitive) names the columns and must be present. Returns
-    (meta, rows); a line parse rejects raises FormatError.
+    '# key=value' are collected as (key, value) pairs in file order, so a
+    repeated key keeps every value. If header is given, a line equal to it
+    (case-insensitive) names the columns and must be present. Returns
+    (pairs, rows); a line parse rejects raises FormatError.
     """
-    meta = {}
+    pairs = []
     rows = []
     saw_header = header is None
     with open(path) as fh:
@@ -139,7 +140,7 @@ def read_rows(path, parse=float, header=None):
             if line.startswith("#"):
                 key, eq, val = line.lstrip("#").partition("=")
                 if eq:
-                    meta[key.strip()] = val.strip()
+                    pairs.append((key.strip(), val.strip()))
                 continue
             try:
                 rows.append(parse(line))
@@ -151,7 +152,7 @@ def read_rows(path, parse=float, header=None):
                 raise FormatError(f"{path}:{lineno}: unreadable row: {line!r}")
     if not saw_header:
         raise FormatError(f"{path}: no {header!r} header line")
-    return meta, rows
+    return pairs, rows
 
 
 def read_dust(path) -> CantorDust:
@@ -168,7 +169,8 @@ def read_events(path) -> EventSignal:
     Recognized header keys: kappa, nu, t_start, t_end. If the window is not
     given it defaults to the span of the events.
     """
-    meta, times = read_rows(path)
+    pairs, times = read_rows(path)
+    meta = dict(pairs)  # a repeated key: the last value holds
     if not times:
         raise EmptySignal(f"{path}: no events")
     try:
@@ -202,6 +204,8 @@ def atomic_write(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())  # on disk before the rename publishes it
         umask = os.umask(0)  # read it: mkstemp's 0600 ignores it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

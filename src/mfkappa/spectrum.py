@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (FormatError, MfkError, SizingViolation, SpecError,
+from .errors import (BadBoxCount, FormatError, SizingViolation, SpecError,
                      TooFewSamples)
 from .measure import CantorDust, NaturalMeasure, atomic_write, cover, read_rows
 
@@ -51,6 +51,17 @@ class SpectrumParams:
     epsilon_alpha: float
     sizing: SizingVerdict = field(
         default_factory=lambda: SizingVerdict(SizingStatus.OK))
+
+    def __post_init__(self):
+        counts = (self.S, self.B, self.A)  # 0 stands for unknown
+        if not all(isinstance(v, (int, np.integer)) and v >= 0
+                   for v in counts):
+            raise FormatError("S, B and A must be integers >= 0, "
+                              f"got {counts}")
+        eps_a = self.epsilon_alpha
+        if not (math.isfinite(eps_a) and eps_a >= 0):
+            raise FormatError("epsilon_alpha must be finite and >= 0, "
+                              f"got {eps_a}")
 
 
 @dataclass(frozen=True)
@@ -168,12 +179,14 @@ class SweepEntry:
 
 def sweep_boxes(dust: CantorDust, B_list, A: int,
                 force: bool = False) -> list[SweepEntry]:
-    """Estimate one spectrum per B; per-entry failures do not abort the sweep."""
+    """Estimate one spectrum per B. A refusal of one B (its sizing or its
+    box count) is recorded in its entry and the sweep goes on; any other
+    error, such as a bad bin count, applies to every B and is raised."""
     out = []
     for B in B_list:
         try:
             out.append(SweepEntry(B, estimate(dust, B, A, force=force)))
-        except MfkError as exc:  # recorded, not raised
+        except (SizingViolation, BadBoxCount) as exc:
             out.append(SweepEntry(B, None, f"{type(exc).__name__}: {exc}"))
     return out
 
@@ -208,7 +221,9 @@ def _alpha_f_row(line):
 
 def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum CSV; rows may come in any order."""
-    meta, rows = read_rows(path, parse=_alpha_f_row, header="alpha,f")
+    pairs, rows = read_rows(path, parse=_alpha_f_row, header="alpha,f")
+    meta = dict(pairs)
+    notes = tuple(v for k, v in pairs if k == "sizing_note")
     if not rows:
         raise FormatError(f"{path}: not a spectrum CSV")
     alphas, fs = np.array(rows).T
@@ -218,7 +233,8 @@ def read_spectrum_csv(path) -> Spectrum:
             S=int(meta.get("S", 0)), B=int(meta.get("B", 0)),
             A=int(meta.get("A", 0)),
             epsilon_alpha=float(meta.get("epsilon_alpha", 0.0)),
-            sizing=SizingVerdict(SizingStatus(meta.get("sizing", "Ok"))))
+            sizing=SizingVerdict(SizingStatus(meta.get("sizing", "Ok")),
+                                 notes))
         return Spectrum(alphas[order], fs[order], params)
     except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None

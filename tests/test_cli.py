@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import mfkappa
 from mfkappa import errors
-from mfkappa.cli import main
+from mfkappa.cli import build_parser, main
 from mfkappa.measure import write_dust
 from mfkappa.oracles import gen_uniform
 from mfkappa.spectrum import estimate, write_spectrum_csv
@@ -67,6 +68,90 @@ class TestGenerate:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith("#")]
         assert len(rows) == 1000
+
+
+# The flags each kind reads, each with two values that give different
+# dusts or headers; None marks a switch. Every kind also reads --out.
+KIND_FLAGS = {
+    "selfsimilar": {"--p": ("0.3", "0.4"), "--r": ("0.3", "0.4"),
+                    "--r2": ("0.2", "0.25"), "--depth": ("5", "6"),
+                    "--S": ("50", "60"), "--seed": ("1", "2")},
+    "superposed": {"--spec-a": ("{a}", "{b}"), "--spec-b": ("{b}", "{a}"),
+                   "--mix": ("0.5", "0.25"), "--disjoint": None},
+    "farey": {"--Q": ("5", "6")},
+    "uniform": {"--S": ("50", "60"), "--seed": ("1", "2"),
+                "--mode": ("random", "equispaced")},
+}
+# A value for every flag some kind reads, and for the removed --spec.
+ANY_VALUE = {flag: values and values[0] for flags in KIND_FLAGS.values()
+             for flag, values in flags.items()} | {"--spec": "{a}"}
+ACCEPTED = [(kind, flag) for kind, flags in KIND_FLAGS.items()
+            for flag in [*flags, "--out"]]
+FOREIGN = [(kind, flag) for kind in KIND_FLAGS for flag in ANY_VALUE
+           if flag not in KIND_FLAGS[kind]]
+
+
+class TestGenerateFlags:
+    """Each kind takes only the flags it reads: a foreign flag exits 2 and
+    writes nothing, and each accepted flag changes the file written."""
+
+    @pytest.fixture
+    def specs(self, tmp_path):
+        paths = {"a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+        paths["a"].write_text(json.dumps(
+            {"p": [0.5, 0.5], "r": [1 / 3, 1 / 3], "depth": 6, "S": 200,
+             "seed": 1}))
+        paths["b"].write_text(json.dumps(
+            {"p": [0.3, 0.7], "r": [0.5, 0.5], "depth": 6, "S": 200,
+             "seed": 2}))
+        return {k: str(v) for k, v in paths.items()}
+
+    @staticmethod
+    def argv(kind, flags, specs):
+        argv = ["generate", kind]
+        for flag, value in flags.items():
+            argv += [flag] if value is None else [flag, value.format(**specs)]
+        return argv
+
+    def test_table_lists_every_generate_flag(self):
+        def choices(parser):
+            return next(a.choices for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        kinds = choices(choices(build_parser())["generate"])
+        assert sorted(kinds) == sorted(KIND_FLAGS)
+        for kind, parser in kinds.items():
+            flags = {o for a in parser._actions for o in a.option_strings}
+            assert flags - {"-h", "--help"} == {*KIND_FLAGS[kind], "--out"}
+        assert len(ACCEPTED) == 18 and len(FOREIGN) == 38
+
+    @pytest.mark.parametrize("kind,flag", FOREIGN)
+    def test_foreign_flag_exits_2(self, kind, flag, specs, tmp_path, capsys):
+        base = {f: v and v[0] for f, v in KIND_FLAGS[kind].items()}
+        out = tmp_path / "out.txt"
+        argv = self.argv(kind, base | {flag: ANY_VALUE[flag]}, specs)
+        assert run(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert flag in err[0]
+
+    @pytest.mark.parametrize("kind,flag", ACCEPTED)
+    def test_accepted_flag_changes_output(self, kind, flag, specs, tmp_path):
+        base = {f: v and v[0] for f, v in KIND_FLAGS[kind].items()}
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        assert run(*self.argv(kind, base, specs), "--out", str(first)) == 0
+        if flag == "--out":
+            assert first.exists()
+            return
+        values = KIND_FLAGS[kind][flag]
+        changed = dict(base)
+        if values is None:
+            changed.pop(flag)  # the switch, off
+        else:
+            changed[flag] = values[1]
+        assert run(*self.argv(kind, changed, specs),
+                   "--out", str(second)) == 0
+        assert first.read_bytes() != second.read_bytes()
 
 
 class TestAnalyze:
@@ -167,7 +252,9 @@ class TestClassify:
         path = self.write_csv(tmp_path, alphas, fs)
         assert run("classify", str(path)) == 1
 
-    @pytest.mark.parametrize("meta", ["# sizing=Bogus", "# S=abc"])
+    @pytest.mark.parametrize("meta", [
+        "# sizing=Bogus", "# S=abc", "# epsilon_alpha=inf",
+        "# epsilon_alpha=nan", "# epsilon_alpha=-0.1", "# B=-7"])
     def test_bad_metadata_exits_1(self, tmp_path, meta):
         path = tmp_path / "spec.csv"
         path.write_text(f"{meta}\nalpha,f\n0.9,0.3\n1.0,0.7\n")
@@ -271,9 +358,12 @@ class TestErrorContract:
          "10", "--out", "{tmp}/nan.txt"],
         ["generate", "selfsimilar", "--r", "nan", "--depth", "4", "--S",
          "10", "--out", "{tmp}/nan.txt"],
+        ["sweep", "{dust}", "--boxes", "100,150", "--bins", "0",
+         "--out-prefix", "{tmp}/sw"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
-            "cap-tol-negative", "selfsimilar-p-nan", "selfsimilar-r-nan"])
+            "cap-tol-negative", "selfsimilar-p-nan", "selfsimilar-r-nan",
+            "sweep-bins-0"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")
@@ -294,15 +384,15 @@ class TestErrorContract:
         '[0.5, 0.5]',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": "x", "S": 10}',
     ], ids=["missing-r", "truncated", "json-list", "depth-not-int"])
-    @pytest.mark.parametrize("flag", ["--spec", "--spec-a"])
+    @pytest.mark.parametrize("flag", ["--spec-b", "--spec-a"])
     def test_bad_spec_file_exits_2(self, text, flag, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         good = tmp_path / "good.json"
         good.write_text('{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, '
                         '"S": 10}')
-        kind = ["selfsimilar", "--spec", str(bad)] if flag == "--spec" else \
-            ["superposed", "--spec-a", str(bad), "--spec-b", str(good)]
+        other = "--spec-a" if flag == "--spec-b" else "--spec-b"
+        kind = ["superposed", flag, str(bad), other, str(good)]
         out = tmp_path / "out.txt"
         src = os.path.dirname(os.path.dirname(mfkappa.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -314,6 +404,33 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {bad}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,words", [
+        (["analyze", "{dust}", "--boxes", "5000", "--bins", "9"],
+         ["sizing violation", "--force"]),
+        (["sweep", "{dust}", "--boxes", "5000,6000", "--bins", "9",
+          "--out-prefix", "{tmp}/sw"], ["B=5000", "B=6000"]),
+    ], ids=["analyze", "sweep"])
+    def test_sizing_refusal_is_one_error_line(self, argv, words, uniform_dust,
+                                              tmp_path, capsys):
+        argv = [a.format(dust=uniform_dust, tmp=tmp_path) for a in argv]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(w in err[0] for w in words)
+
+
+def test_one_point_report_is_strict_json(tmp_path, capsys):
+    # one point: no spacing to split, so the default threshold is infinite
+    path = tmp_path / "spec.csv"
+    path.write_text("alpha,f\n0.7,0.0\n")
+    assert run("classify", str(path)) == 0
+
+    def refuse(name):  # Infinity and NaN are not RFC 8259 JSON
+        raise ValueError(f"{name} is not JSON")
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert doc["fragmentation"]["gap_threshold"] is None
+    assert doc["config"]["gap_threshold"] is None
 
 
 def test_cli_import_loads_no_scipy():

@@ -370,3 +370,13 @@ class TestClassify:
         assert doc["regime"] == "Crisis"
         assert set(doc) >= {"regime", "features", "segment",
                             "fragmentation", "config"}
+
+
+def test_kernel_defaults_are_geometry_configs():
+    """cap_shape_check and detect_segment called alone use the tolerances
+    classify uses."""
+    default = GeometryConfig()
+    spec = make_spectrum([0.9, 1.0, 1.1, 1.2], [0.5, 0.4, 0.5, 0.3])
+    assert cap_shape_check(spec) == cap_shape_check(spec, default.tol)
+    assert cap_shape_check(spec).is_cap  # a 0.1 dip is within 0.2
+    assert detect_segment(spec) == detect_segment(spec, default.residual_tol)

@@ -95,6 +95,25 @@ def test_atomic_write_honours_umask(tmp_path):
     assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o644
 
 
+def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_size))  # text flushed first
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.exists(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    atomic_write(tmp_path / "out.txt", "0.5\n" * 1000)
+    assert calls == [("fsync", 4000), ("replace", False)]
+    assert (tmp_path / "out.txt").read_text() == "0.5\n" * 1000
+
+
 def test_read_events_with_metadata(tmp_path):
     path = tmp_path / "events.txt"
     path.write_text(

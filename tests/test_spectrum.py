@@ -181,6 +181,17 @@ def test_csv_roundtrip(tmp_path):
     assert back.params.sizing.status is SizingStatus.OK
 
 
+def test_csv_roundtrip_keeps_sizing_notes(tmp_path):
+    # S=1e4 with B=150 lies in the Warning band sqrt(S) < B <= 2 sqrt(S)
+    spec = estimate(gen_uniform(10_000, "random", 5), 150, 9)
+    assert spec.params.sizing.status is SizingStatus.WARNING
+    assert spec.params.sizing.messages
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, path)
+    back = read_spectrum_csv(path)
+    assert back.params == spec.params
+
+
 @st.composite
 def edge_dusts(draw):
     """A box count B and a dust drawn from box edges k/B, the segment's ends
