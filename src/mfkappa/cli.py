@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 
 from . import geometry, oracles, spectrum
-from .errors import MfkError, SizingViolation, SpecError
+from .errors import BadBoxCount, MfkError, SizingViolation, SpecError
 from .measure import atomic_write, read_dust, write_dust
 from .spectrum import SizingStatus
 
@@ -39,7 +39,8 @@ def _load_spec(path) -> oracles.SelfSimilarSpec:
     with open(path) as fh:
         try:
             return oracles.SelfSimilarSpec.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                SpecError) as exc:
             raise SpecError(f"{path}: bad spec: {type(exc).__name__}: {exc}")
 
 
@@ -124,9 +125,12 @@ def cmd_sweep(args) -> None:
         dust.sample_size)[1]
     entries = spectrum.sweep_boxes(dust, B_list, A, force=args.force)
     ok_entries = [e for e in entries if e.spectrum is not None]
-    if not ok_entries:
-        raise SizingViolation("every sweep entry failed: " + "; ".join(
-            f"B={e.B}: {e.error}" for e in entries))
+    if not ok_entries:  # exit 3 if any B was a sizing refusal, else 2
+        refused = any(e.error.startswith(SizingViolation.__name__)
+                      for e in entries)
+        raise (SizingViolation if refused else BadBoxCount)(
+            "every sweep entry failed: " + "; ".join(
+                f"B={e.B}: {e.error}" for e in entries))
     csv_paths = {}
     for e in ok_entries:
         path = f"{args.out_prefix}_B{e.B}.csv"

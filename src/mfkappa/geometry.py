@@ -226,10 +226,12 @@ def detect_segment(spectrum: Spectrum,
 
 
 def detect_fragments(spectrum: Spectrum,
-                     gap_threshold: float) -> FragmentReport:
+                     gap_threshold: float | None = None) -> FragmentReport:
     """Split the alpha-sorted points wherever consecutive spacing exceeds
-    gap_threshold; size-1 fragments become isolated points, flagged on-axis
-    when their f is zero."""
+    gap_threshold (None: default_gap_threshold); size-1 fragments become
+    isolated points, flagged on-axis when their f is zero."""
+    if gap_threshold is None:
+        gap_threshold = default_gap_threshold(spectrum)
     if not gap_threshold > 0:
         raise SpecError(f"gap threshold must be positive, got {gap_threshold}")
     alphas, fs = spectrum.alphas, spectrum.fs
@@ -277,11 +279,9 @@ def classify(spectrum: Spectrum,
     fragment with a collinear run is crisis; one cap-shaped fragment without
     a run is pre-crisis; anything else is indeterminate."""
     n = len(spectrum)
-    gap_threshold = (config.gap_threshold if config.gap_threshold is not None
-                     else default_gap_threshold(spectrum))
     min_run = max(4, config.min_run if config.min_run is not None
                   else math.ceil(n / 2))
-    frag = detect_fragments(spectrum, gap_threshold)
+    frag = detect_fragments(spectrum, config.gap_threshold)
     seg = (detect_segment(spectrum, config.residual_tol, min_run)
            if n >= min_run else SegmentReport(found=False))
     cap = None
@@ -298,7 +298,7 @@ def classify(spectrum: Spectrum,
         regime = "Indeterminate"
 
     resolved = {"residual_tol": config.residual_tol, "min_run": min_run,
-                "gap_threshold": gap_threshold, "tol": config.tol}
+                "gap_threshold": frag.gap_threshold, "tol": config.tol}
     return RegimeReport(regime=regime, features=features(spectrum),
                         segment=seg, fragmentation=frag, cap=cap,
                         config=resolved)

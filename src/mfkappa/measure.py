@@ -126,33 +126,44 @@ def read_rows(path, parse=float, header=None):
     Blank lines are skipped and '#' lines are comments; those of the form
     '# key=value' are collected as (key, value) pairs in file order, so a
     repeated key keeps every value. If header is given, a line equal to it
-    (case-insensitive) names the columns and must be present. Returns
-    (pairs, rows); a line parse rejects raises FormatError.
+    (case-insensitive) names the columns and must be present. These are
+    looked for only in a line parse rejects, so a row costs one parse.
+    Returns (pairs, rows); any other line parse rejects raises FormatError.
     """
     pairs = []
     rows = []
     saw_header = header is None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            try:
+                rows.append(parse(line))
                 continue
+            except ValueError:
+                line = line.strip()
             if line.startswith("#"):
                 key, eq, val = line.lstrip("#").partition("=")
                 if eq:
                     pairs.append((key.strip(), val.strip()))
-                continue
-            try:
-                rows.append(parse(line))
-            except ValueError:
-                # looked for only here, so a row costs one parse
-                if header is not None and line.lower() == header:
-                    saw_header = True
-                    continue
-                raise FormatError(f"{path}:{lineno}: unreadable row: {line!r}")
+            elif header is not None and line.lower() == header:
+                saw_header = True
+            elif line:
+                try:  # strip, unlike float, drops \x1c-\x1f too
+                    rows.append(parse(line))
+                except ValueError:
+                    raise FormatError(
+                        f"{path}:{lineno}: unreadable row: {line!r}")
     if not saw_header:
         raise FormatError(f"{path}: no {header!r} header line")
     return pairs, rows
+
+
+def format_rows(pairs, rows, header=None) -> str:
+    """The table read_rows reads: '# key=value' pairs, header, rows."""
+    lines = [f"# {key}={val}" for key, val in pairs]
+    if header is not None:
+        lines.append(header)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
 
 
 def read_dust(path) -> CantorDust:
@@ -186,15 +197,8 @@ def read_events(path) -> EventSignal:
 
 def write_dust(dust: CantorDust, path, header: dict | None = None) -> None:
     """Write a dust file atomically (temp file + rename)."""
-    atomic_write(path, format_dust(dust, header))
-
-
-def format_dust(dust: CantorDust, header: dict | None = None) -> str:
-    lines = []
-    for key, val in (header or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.extend(repr(float(p)) for p in dust.points)
-    return "\n".join(lines) + "\n"
+    points = map(repr, dust.points.tolist())
+    atomic_write(path, format_rows((header or {}).items(), points))
 
 
 def atomic_write(path, text: str) -> None:

@@ -47,6 +47,8 @@ class SelfSimilarSpec:
             raise SpecError("depth must be >= 1")
         if not self.S >= 1:
             raise SpecError("sample size must be >= 1")
+        if not self.seed >= 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
 
     def as_dict(self) -> dict:
         return {"p": list(self.p), "r": list(self.r), "depth": self.depth,
@@ -54,8 +56,12 @@ class SelfSimilarSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SelfSimilarSpec":
-        return cls(p=tuple(d["p"]), r=tuple(d["r"]), depth=int(d["depth"]),
-                   S=int(d["S"]), seed=int(d.get("seed", 0)))
+        counts = {"depth": d["depth"], "S": d["S"], "seed": d.get("seed", 0)}
+        for key, v in counts.items():
+            if int(v) != v:  # 1e6 is a count, 12.7 is not
+                raise SpecError(f"{key} must be an integer, got {v!r}")
+        return cls(p=tuple(d["p"]), r=tuple(d["r"]),
+                   **{key: int(v) for key, v in counts.items()})
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,8 @@ def gen_uniform(S: int, mode: str = "equispaced",
     """Uniform dust: equispaced midpoints (k+0.5)/S or S i.i.d. draws."""
     if S < 1:
         raise SpecError(f"sample size must be >= 1, got {S}")
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
     if mode == "equispaced":
         return CantorDust((np.arange(S) + 0.5) / S)
     if mode == "random":

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (BadBoxCount, FormatError, SizingViolation, SpecError,
                      TooFewSamples)
-from .measure import CantorDust, NaturalMeasure, atomic_write, cover, read_rows
+from .measure import (CantorDust, NaturalMeasure, atomic_write, cover,
+                      format_rows, read_rows)
 
 
 class SizingStatus(str, Enum):
@@ -195,19 +196,12 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
 
 def format_spectrum_csv(spec: Spectrum) -> str:
     p = spec.params
-    lines = [
-        f"# S={p.S}",
-        f"# B={p.B}",
-        f"# A={p.A}",
-        f"# epsilon_alpha={p.epsilon_alpha!r}",
-        f"# sizing={p.sizing.status.value}",
-    ]
-    for msg in p.sizing.messages:
-        lines.append(f"# sizing_note={msg}")
-    lines.append("alpha,f")
-    for a, f in zip(spec.alphas, spec.fs):
-        lines.append(f"{float(a)!r},{float(f)!r}")
-    return "\n".join(lines) + "\n"
+    pairs = [("S", p.S), ("B", p.B), ("A", p.A),
+             ("epsilon_alpha", repr(p.epsilon_alpha)),
+             ("sizing", p.sizing.status.value)]
+    pairs += [("sizing_note", msg) for msg in p.sizing.messages]
+    rows = map("{!r},{!r}".format, spec.alphas.tolist(), spec.fs.tolist())
+    return format_rows(pairs, rows, header="alpha,f")
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import default_gap_threshold, detect_fragments
+from .geometry import detect_fragments
 from .spectrum import Spectrum
 
 _WIDTH, _HEIGHT, _MARGIN = 480, 480, 50
@@ -62,9 +62,7 @@ def render_spectra_svg(spectra, labels=None,
     ]
     for k, (spec, label) in enumerate(zip(spectra, labels)):
         color = _COLORS[k % len(_COLORS)]
-        thr = (gap_threshold if gap_threshold is not None
-               else default_gap_threshold(spec))
-        frag = detect_fragments(spec, thr)
+        frag = detect_fragments(spec, gap_threshold)
         out.append(f'<g class="series" data-label="{label}">')
         alphas, fs = spec.alphas, spec.fs
         for i, j in frag.fragments:

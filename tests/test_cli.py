@@ -360,10 +360,16 @@ class TestErrorContract:
          "10", "--out", "{tmp}/nan.txt"],
         ["sweep", "{dust}", "--boxes", "100,150", "--bins", "0",
          "--out-prefix", "{tmp}/sw"],
+        ["sweep", "{dust}", "--boxes", "1", "--bins", "1",
+         "--out-prefix", "{tmp}/sw"],
+        ["generate", "selfsimilar", "--seed", "-1", "--out", "{tmp}/s.txt"],
+        ["generate", "uniform", "--mode", "random", "--seed", "-1",
+         "--out", "{tmp}/u.txt"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
             "cap-tol-negative", "selfsimilar-p-nan", "selfsimilar-r-nan",
-            "sweep-bins-0"])
+            "sweep-bins-0", "sweep-boxes-1", "selfsimilar-seed-negative",
+            "uniform-seed-negative"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")
@@ -383,7 +389,14 @@ class TestErrorContract:
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "dep',
         '[0.5, 0.5]',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": "x", "S": 10}',
-    ], ids=["missing-r", "truncated", "json-list", "depth-not-int"])
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 10, "seed": -3}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 12.7, "S": 100}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 100.9}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 10, "seed": 1.5}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": Infinity}',
+    ], ids=["missing-r", "truncated", "json-list", "depth-not-int",
+            "seed-negative", "depth-fractional", "S-fractional",
+            "seed-fractional", "S-infinite"])
     @pytest.mark.parametrize("flag", ["--spec-b", "--spec-a"])
     def test_bad_spec_file_exits_2(self, text, flag, tmp_path):
         bad = tmp_path / "bad.json"

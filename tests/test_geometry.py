@@ -8,8 +8,8 @@ from mfkappa.errors import NeedsSweep, TooFewPoints
 from mfkappa.geometry import (GeometryConfig, SegmentReport,
                               SpectrumFeatures, _line_fit_residual,
                               _window_screen, cap_shape_check, classify,
-                              compare_sweep, detect_fragments,
-                              detect_segment, features)
+                              compare_sweep, default_gap_threshold,
+                              detect_fragments, detect_segment, features)
 from mfkappa.spectrum import Spectrum, SpectrumParams
 
 
@@ -311,6 +311,14 @@ class TestFragments:
     def test_vanishing_threshold(self):
         s = make_spectrum([0.1, 0.5, 0.9], [0.2, 0.3, 0.1])
         assert len(detect_fragments(s, 1e-15).fragments) == 3
+
+    def test_none_takes_the_default_threshold(self):
+        # eps_alpha 0.1 gives max(1.5 * 0.1, 0.1) = 0.15: one 0.4 gap
+        s = make_spectrum([0.9, 1.0, 1.1, 1.5], [0.3, 0.5, 0.4, 0.2], 0.1)
+        rep = detect_fragments(s)
+        assert rep.gap_threshold == default_gap_threshold(s)
+        assert rep.fragments == ((0, 2), (3, 3))
+        assert classify(s).config["gap_threshold"] == rep.gap_threshold
 
 
 class TestClassify:

@@ -39,6 +39,13 @@ class TestSelfSimilarGen:
         with pytest.raises(SpecError):
             SelfSimilarSpec(p=p, r=r, depth=3, S=10)
 
+    def test_from_dict_takes_whole_float_counts(self):
+        spec = SelfSimilarSpec.from_dict(
+            {**MIDDLE_THIRD, "depth": 4.0, "S": 1e6, "seed": 2.0})
+        assert spec.as_dict() == {"p": [0.5, 0.5], "r": [1 / 3, 1 / 3],
+                                  "depth": 4, "S": 1_000_000, "seed": 2}
+        assert all(type(v) is int for v in (spec.depth, spec.S, spec.seed))
+
     def test_determinism(self):
         spec = SelfSimilarSpec(p=(0.3, 0.7), r=(0.5, 0.5), depth=13,
                                S=1000, seed=7)
