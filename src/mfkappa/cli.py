@@ -48,7 +48,8 @@ def _load_spec(path) -> oracles.SelfSimilarSpec:
 def _selfsimilar(args):
     r2 = args.r if args.r2 is None else args.r2
     spec = oracles.SelfSimilarSpec(p=(args.p, 1.0 - args.p), r=(args.r, r2),
-                                   depth=args.depth, S=args.S, seed=args.seed)
+                                   depth=args.depth, S=args.S,
+                                   seed=args.seed or 0)
     return oracles.gen_selfsimilar(spec), {
         "kind": "selfsimilar", "spec": json.dumps(spec.as_dict())}
 
@@ -68,9 +69,13 @@ def _farey(args):
 
 
 def _uniform(args):
-    dust = oracles.gen_uniform(args.S, mode=args.mode, seed=args.seed)
+    if args.mode == "equispaced" and args.seed is not None:
+        raise SpecError("--seed needs --mode random: equispaced dusts "
+                        "draw nothing")
+    seed = args.seed or 0
+    dust = oracles.gen_uniform(args.S, mode=args.mode, seed=seed)
     return dust, {"kind": "uniform", "S": args.S, "mode": args.mode,
-                  "seed": args.seed}
+                  "seed": seed}
 
 
 def cmd_generate(args) -> None:
@@ -156,7 +161,7 @@ def cmd_plot(args) -> None:
 def _generate_parsers(kinds) -> None:
     sample = argparse.ArgumentParser(add_help=False)  # sampled dusts' flags
     sample.add_argument("--S", type=int, default=10_000)
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=int, default=None)  # None reads as 0
 
     def kind(name, make, summary, parents=()):
         k = kinds.add_parser(name, help=summary, parents=list(parents))

@@ -21,6 +21,8 @@ from .measure import CantorDust
 
 # cascade interval lengths must stay above double-precision underflow
 _MAX_LOG_SHRINK = 690.0
+# cascade levels tabulated by _cascade_points: 2^16 paths, a 1 MB table
+_TABLE_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ class SelfSimilarSpec:
     def from_dict(cls, d: dict) -> "SelfSimilarSpec":
         counts = {"depth": d["depth"], "S": d["S"], "seed": d.get("seed", 0)}
         for key, v in counts.items():
-            if int(v) != v:  # 1e6 is a count, 12.7 is not
+            # 1e6 is a count; 12.7 is not, nor is true, though int(True) == 1
+            if isinstance(v, bool) or int(v) != v:
                 raise SpecError(f"{key} must be an integer, got {v!r}")
         return cls(p=tuple(d["p"]), r=tuple(d["r"]),
                    **{key: int(v) for key, v in counts.items()})
@@ -77,18 +80,44 @@ def _cascade_points(spec: SelfSimilarSpec, n: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Sample n points i.i.d. from the depth-d cascade measure: walk d levels
     choosing child 1 with probability p1, return final-interval midpoints.
-    Child 1 is left-aligned, child 2 right-aligned (middle gap)."""
+    Child 1 is left-aligned, child 2 right-aligned (middle gap).
+
+    A point depends only on its path, so the first k = min(d, _TABLE_LEVELS)
+    levels are tabulated once: lo and length of all 2^k paths, level 0 the
+    high bit and child 2 the set bit. Each level's draws u then extend an
+    integer path code, code = (code << 1) | (u >= p1), and the points are the
+    table's midpoints gathered at code. The table applies the walk's own
+    float operations in the walk's order, and the draws are the same
+    rng.random(n) calls in the same order, so each point is bit-identical to
+    walking it. Below level k the walk continues from the gathered lo and
+    length, in place, with the draw buffer as scratch.
+    """
     p1 = spec.p[0]
     r1, r2 = spec.r
     if spec.depth * math.log(1.0 / min(r1, r2)) > _MAX_LOG_SHRINK:
         raise DepthTooLarge(
             f"depth {spec.depth} underflows interval lengths")
-    lo = np.zeros(n)
-    length = np.ones(n)
-    for _ in range(spec.depth):
-        left = rng.random(n) < p1
-        lo = np.where(left, lo, lo + length * (1.0 - r2))
-        length = np.where(left, length * r1, length * r2)
+    k = min(spec.depth, _TABLE_LEVELS)
+    lo, length = np.zeros(1), np.ones(1)
+    for _ in range(k):  # path c's children sit at 2c (child 1) and 2c + 1
+        lo = np.stack([lo, lo + length * (1.0 - r2)], axis=1).ravel()
+        length = np.stack([length * r1, length * r2], axis=1).ravel()
+    u = np.empty(n)
+    code = np.zeros(n, dtype=np.uint32)
+    for _ in range(k):
+        code <<= 1
+        code |= rng.random(out=u) >= p1
+    del u  # freed for the gather, where table, code, lo and length coexist
+    if k == spec.depth:
+        return (lo + 0.5 * length)[code]
+    lo, length = lo[code], length[code]
+    del code
+    u = np.empty(n)
+    for _ in range(spec.depth - k):
+        right = rng.random(out=u) >= p1
+        np.multiply(length, 1.0 - r2, out=u)
+        np.add(lo, u, out=lo, where=right)
+        length *= np.where(right, r2, r1)
     return lo + 0.5 * length
 
 

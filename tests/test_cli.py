@@ -149,6 +149,8 @@ class TestGenerateFlags:
             changed.pop(flag)  # the switch, off
         else:
             changed[flag] = values[1]
+        if changed.get("--mode") == "equispaced":
+            changed.pop("--seed")  # a seed is refused where nothing is drawn
         assert run(*self.argv(kind, changed, specs),
                    "--out", str(second)) == 0
         assert first.read_bytes() != second.read_bytes()
@@ -365,11 +367,15 @@ class TestErrorContract:
         ["generate", "selfsimilar", "--seed", "-1", "--out", "{tmp}/s.txt"],
         ["generate", "uniform", "--mode", "random", "--seed", "-1",
          "--out", "{tmp}/u.txt"],
+        ["generate", "uniform", "--mode", "equispaced", "--seed", "7",
+         "--out", "{tmp}/u.txt"],
+        ["generate", "uniform", "--seed", "0", "--out", "{tmp}/u.txt"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
             "cap-tol-negative", "selfsimilar-p-nan", "selfsimilar-r-nan",
             "sweep-bins-0", "sweep-boxes-1", "selfsimilar-seed-negative",
-            "uniform-seed-negative"])
+            "uniform-seed-negative", "equispaced-seed",
+            "equispaced-seed-0"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")
@@ -394,9 +400,14 @@ class TestErrorContract:
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 100.9}',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 10, "seed": 1.5}',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": Infinity}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": true, "S": 10}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": true}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 10, '
+        '"seed": true}',
     ], ids=["missing-r", "truncated", "json-list", "depth-not-int",
             "seed-negative", "depth-fractional", "S-fractional",
-            "seed-fractional", "S-infinite"])
+            "seed-fractional", "S-infinite", "depth-bool", "S-bool",
+            "seed-bool"])
     @pytest.mark.parametrize("flag", ["--spec-b", "--spec-a"])
     def test_bad_spec_file_exits_2(self, text, flag, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mfkappa.errors import DepthTooLarge, SpecError
-from mfkappa.oracles import (SelfSimilarSpec, gen_farey, gen_selfsimilar,
-                             gen_superposed, gen_uniform, oracle_spectrum)
+from mfkappa.measure import CantorDust
+from mfkappa.oracles import (_TABLE_LEVELS, SelfSimilarSpec, _cascade_points,
+                             gen_farey, gen_selfsimilar, gen_superposed,
+                             gen_uniform, oracle_spectrum)
 
 MIDDLE_THIRD = dict(p=(0.5, 0.5), r=(1 / 3, 1 / 3))
 
@@ -59,11 +62,94 @@ class TestSelfSimilarGen:
         with pytest.raises(DepthTooLarge):
             gen_selfsimilar(spec)
 
+    def test_depth_guard_runs_before_any_table(self):
+        spec = SelfSimilarSpec(p=(0.5, 0.5), r=(0.01, 0.01), depth=200,
+                               S=10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DepthTooLarge):
+                gen_selfsimilar(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # a full path table alone takes 1 MB
+
     def test_points_confined_to_depth_one_cells(self):
         spec = SelfSimilarSpec(p=(0.4, 0.6), r=(0.25, 0.25), depth=6,
                                S=500, seed=3)
         pts = gen_selfsimilar(spec).points
         assert np.all((pts < 0.25) | (pts > 0.75))
+
+
+def _walk_points(spec, n, rng):
+    """The cascade sampler before its path table: every point walks all
+    spec.depth levels over n-element arrays. The old==new reference."""
+    p1 = spec.p[0]
+    r1, r2 = spec.r
+    lo = np.zeros(n)
+    length = np.ones(n)
+    for _ in range(spec.depth):
+        left = rng.random(n) < p1
+        lo = np.where(left, lo, lo + length * (1.0 - r2))
+        length = np.where(left, length * r1, length * r2)
+    return lo + 0.5 * length
+
+
+WALK_SPECS = {  # (p1, (r1, r2), depth)
+    "binomial": (0.3, (0.5, 0.5), 13),
+    "unequal-ratios": (0.3, (0.3, 0.5), 13),
+    "middle-third": (0.5, (1 / 3, 1 / 3), 13),
+    "shallow": (0.4, (0.25, 0.25), 5),
+    "table-depth": (0.3, (0.3, 0.5), _TABLE_LEVELS),
+    "below-table": (0.3, (0.3, 0.5), _TABLE_LEVELS + 4),
+}
+
+
+def _walk_spec(name, S, seed=0):
+    p1, r, depth = WALK_SPECS[name]
+    return SelfSimilarSpec(p=(p1, 1 - p1), r=r, depth=depth, S=S, seed=seed)
+
+
+def _bits(points):
+    return np.asarray(points).view(np.int64)
+
+
+class TestCascadeSampler:
+    """The path-table sampler reproduces the level-by-level walk bit for
+    bit, in draw order, at no more peak memory."""
+
+    @pytest.mark.parametrize("S", [1, 7, 100_000])
+    @pytest.mark.parametrize("name", WALK_SPECS)
+    def test_equals_walk_in_draw_order(self, name, S):
+        spec = _walk_spec(name, S, seed=S % 5)
+        new = _cascade_points(spec, S, np.random.default_rng(spec.seed))
+        ref = _walk_points(spec, S, np.random.default_rng(spec.seed))
+        assert np.array_equal(_bits(new), _bits(ref))
+
+    @pytest.mark.parametrize("S", [1, 7, 100_000])
+    def test_superposed_disjoint_equals_walk(self, S):
+        a = _walk_spec("middle-third", S, seed=1)
+        b = _walk_spec("below-table", S + 3, seed=2)
+        n_a = round(0.3 * (a.S + b.S))
+        ref = CantorDust(np.concatenate([
+            0.5 * _walk_points(a, n_a, np.random.default_rng(1)),
+            0.5 + 0.5 * _walk_points(b, a.S + b.S - n_a,
+                                     np.random.default_rng(2))]))
+        dust = gen_superposed(a, b, 0.3, disjoint=True)
+        assert np.array_equal(_bits(dust.points), _bits(ref.points))
+
+    @pytest.mark.parametrize("name", ["unequal-ratios", "below-table"])
+    def test_peak_memory_within_walk(self, name):
+        spec = _walk_spec(name, 100_000)
+        peaks = []
+        for sample in (_cascade_points, _walk_points):
+            tracemalloc.start()
+            try:
+                sample(spec, spec.S, np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 # q in [-5, 5] in steps of 0.05, with 0 and 1 on the grid exactly
