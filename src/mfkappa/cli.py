@@ -35,6 +35,15 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+def _warn(spec: spectrum.Spectrum) -> None:
+    """One `warning:` line on stderr per sizing note of a Warning-band
+    spectrum; the tag is coloured only on a terminal."""
+    if spec.params.sizing.status is SizingStatus.WARNING:
+        tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
+        for msg in spec.params.sizing.messages:
+            sys.stderr.write(f"{tag} {msg}\n")
+
+
 def _load_spec(path) -> oracles.SelfSimilarSpec:
     with open(path) as fh:
         try:
@@ -72,10 +81,11 @@ def _uniform(args):
     if args.mode == "equispaced" and args.seed is not None:
         raise SpecError("--seed needs --mode random: equispaced dusts "
                         "draw nothing")
-    seed = args.seed or 0
-    dust = oracles.gen_uniform(args.S, mode=args.mode, seed=seed)
-    return dust, {"kind": "uniform", "S": args.S, "mode": args.mode,
-                  "seed": seed}
+    header = {"kind": "uniform", "S": args.S, "mode": args.mode}
+    if args.mode == "random":
+        header["seed"] = args.seed or 0
+    dust = oracles.gen_uniform(args.S, mode=args.mode, seed=args.seed or 0)
+    return dust, header
 
 
 def cmd_generate(args) -> None:
@@ -102,10 +112,7 @@ def cmd_analyze(args) -> None:
     except SizingViolation as exc:
         raise SizingViolation(f"sizing violation: {exc} "
                               "(use --force to override)") from None
-    if spec.params.sizing.status is SizingStatus.WARNING:
-        tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
-        for msg in spec.params.sizing.messages:
-            sys.stderr.write(f"{tag} {msg}\n")
+    _warn(spec)
     _emit(spectrum.format_spectrum_csv(spec), args.out)
 
 
@@ -138,6 +145,7 @@ def cmd_sweep(args) -> None:
                 f"B={e.B}: {e.error}" for e in entries))
     csv_paths = {}
     for e in ok_entries:
+        _warn(e.spectrum)
         path = f"{args.out_prefix}_B{e.B}.csv"
         spectrum.write_spectrum_csv(e.spectrum, path)
         csv_paths[e.B] = path

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,20 +81,13 @@ class RegimeReport:
     features: SpectrumFeatures
     segment: SegmentReport
     fragmentation: FragmentReport
-    cap: CapShapeResult | None
-    config: dict = field(default_factory=dict)  # resolved thresholds used
+    cap_shaped: bool | None  # None: under 3 points, no cap test
+    config: dict  # GeometryConfig's fields, min_run and gap_threshold resolved
 
     def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "features": asdict(self.features),
-            "segment": asdict(self.segment),
-            "fragmentation": asdict(self.fragmentation),
-            "cap_shaped": None if self.cap is None else self.cap.is_cap,
-            "config": self.config,
-        }
+        return asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """as_dict as strict JSON (RFC 8259), which has no Infinity: an
         infinite gap_threshold, under which no spacing splits the curve, is
         written as null."""
@@ -102,7 +95,7 @@ class RegimeReport:
         for part in (d["fragmentation"], d["config"]):
             if math.isinf(part["gap_threshold"]):
                 part["gap_threshold"] = None
-        return json.dumps(d, indent=indent, allow_nan=False)
+        return json.dumps(d, indent=2, allow_nan=False)
 
 
 def features(spectrum: Spectrum) -> SpectrumFeatures:
@@ -146,11 +139,12 @@ def cap_shape_check(spectrum: Spectrum,
     n = fs.size
     if n < 3:
         raise TooFewPoints(f"cap test needs >= 3 points, got {n}")
-    violations = [j for j in range(1, n - 1)
-                  if fs[j] < fs[j - 1] - tol and fs[j] < fs[j + 1] - tol]
+    # x - tol is monotone under rounding, so min(a, b) - tol is exactly
+    # min(a - tol, b - tol): below both neighbours' bounds at once
+    valleys = np.flatnonzero(fs[1:-1] < np.minimum(fs[:-2], fs[2:]) - tol)
     k = int(np.argmax(fs))
-    return CapShapeResult(is_cap=not violations,
-                          violations=tuple(violations),
+    return CapShapeResult(is_cap=valleys.size == 0,
+                          violations=tuple((valleys + 1).tolist()),
                           degenerate=k in (0, n - 1))
 
 
@@ -235,22 +229,15 @@ def detect_fragments(spectrum: Spectrum,
     if not gap_threshold > 0:
         raise SpecError(f"gap threshold must be positive, got {gap_threshold}")
     alphas, fs = spectrum.alphas, spectrum.fs
-    n = alphas.size
-    frags = []
-    start = 0
-    gaps = []
-    for k in range(1, n):
-        spacing = alphas[k] - alphas[k - 1]
-        if spacing > gap_threshold:
-            frags.append((start, k - 1))
-            gaps.append(float(spacing))
-            start = k
-    frags.append((start, n - 1))
+    spacings = np.diff(alphas)
+    cuts = np.flatnonzero(spacings > gap_threshold)  # last point before a gap
+    frags = tuple(zip([0, *(cuts + 1).tolist()],
+                      [*cuts.tolist(), alphas.size - 1]))
     isolated = tuple(
         IsolatedPoint(index=i, alpha=float(alphas[i]), f=float(fs[i]),
                       on_axis=bool(fs[i] <= 1e-12))
         for i, j in frags if i == j)
-    return FragmentReport(fragments=tuple(frags), gaps=tuple(gaps),
+    return FragmentReport(fragments=frags, gaps=tuple(spacings[cuts].tolist()),
                           isolated_points=isolated,
                           gap_threshold=gap_threshold)
 
@@ -282,23 +269,21 @@ def classify(spectrum: Spectrum,
     min_run = max(4, config.min_run if config.min_run is not None
                   else math.ceil(n / 2))
     frag = detect_fragments(spectrum, config.gap_threshold)
-    seg = (detect_segment(spectrum, config.residual_tol, min_run)
-           if n >= min_run else SegmentReport(found=False))
-    cap = None
-    if n >= 3:
-        cap = cap_shape_check(spectrum, config.tol)
+    seg = detect_segment(spectrum, config.residual_tol, min_run)
+    cap_shaped = (cap_shape_check(spectrum, config.tol).is_cap if n >= 3
+                  else None)
 
     if len(frag.fragments) >= 2:
         regime = "PostCrisisBiMultifractal"
     elif seg.found:
         regime = "Crisis"
-    elif cap is not None and cap.is_cap:
+    elif cap_shaped:
         regime = "PreCrisis"
     else:
         regime = "Indeterminate"
 
-    resolved = {"residual_tol": config.residual_tol, "min_run": min_run,
-                "gap_threshold": frag.gap_threshold, "tol": config.tol}
+    resolved = replace(config, min_run=min_run,
+                       gap_threshold=frag.gap_threshold)
     return RegimeReport(regime=regime, features=features(spectrum),
-                        segment=seg, fragmentation=frag, cap=cap,
-                        config=resolved)
+                        segment=seg, fragmentation=frag,
+                        cap_shaped=cap_shaped, config=asdict(resolved))

@@ -75,10 +75,6 @@ class NaturalMeasure:
         return self.counts / self.counts.sum()
 
     @property
-    def box_length(self) -> float:
-        return 1.0 / self.box_count
-
-    @property
     def occupied(self) -> np.ndarray:
         return np.flatnonzero(self.counts > 0)
 

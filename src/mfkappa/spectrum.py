@@ -90,7 +90,7 @@ class Spectrum:
 def alpha_field(measure: NaturalMeasure) -> AlphaField:
     """Compute alpha = ln(mu)/ln(eps_l) for every occupied box."""
     occ = measure.occupied
-    log_eps = math.log(measure.box_length)
+    log_eps = math.log(1.0 / measure.box_count)  # -log(B) may differ by 1 ulp
     alphas = np.log(measure.mu[occ]) / log_eps
     return AlphaField(box_indices=occ, alphas=alphas,
                       box_count=measure.box_count)

@@ -25,13 +25,11 @@ def _limits(spectra):
     return lo - pad, hi + pad
 
 
-def render_spectra_svg(spectra, labels=None,
-                       gap_threshold: float | None = None) -> str:
-    """Render one or more spectra; fragments are not joined across gaps."""
+def render_spectra_svg(spectra, gap_threshold: float | None = None) -> str:
+    """Render one or more spectra, each labelled by its box count B;
+    fragments are not joined across gaps."""
     if not spectra:
         raise ValueError("need at least one spectrum")
-    if labels is None:
-        labels = [f"B={s.params.B}" for s in spectra]
     lo, hi = _limits(spectra)
     span = hi - lo
     inner = _WIDTH - 2 * _MARGIN
@@ -60,8 +58,9 @@ def render_spectra_svg(spectra, labels=None,
         f'x2="{sx(hi):.2f}" y2="{sy(hi):.2f}" '
         'stroke="#999" stroke-dasharray="4 3"/>',
     ]
-    for k, (spec, label) in enumerate(zip(spectra, labels)):
+    for k, spec in enumerate(spectra):
         color = _COLORS[k % len(_COLORS)]
+        label = f"B={spec.params.B}"
         frag = detect_fragments(spec, gap_threshold)
         out.append(f'<g class="series" data-label="{label}">')
         alphas, fs = spec.alphas, spec.fs

@@ -10,7 +10,7 @@ import pytest
 import mfkappa
 from mfkappa import errors
 from mfkappa.cli import build_parser, main
-from mfkappa.measure import write_dust
+from mfkappa.measure import read_rows, write_dust
 from mfkappa.oracles import gen_uniform
 from mfkappa.spectrum import estimate, write_spectrum_csv
 
@@ -156,6 +156,19 @@ class TestGenerateFlags:
         assert first.read_bytes() != second.read_bytes()
 
 
+def test_seed_in_header_only_where_drawn(tmp_path):
+    headers = {}
+    for mode in ("equispaced", "random"):
+        path = tmp_path / f"{mode}.txt"
+        assert run("generate", "uniform", "--S", "3", "--mode", mode,
+                   "--out", str(path)) == 0
+        headers[mode] = dict(read_rows(path)[0])
+    assert headers["equispaced"] == {"kind": "uniform", "S": "3",
+                                     "mode": "equispaced"}
+    assert headers["random"] == {"kind": "uniform", "S": "3",
+                                 "mode": "random", "seed": "0"}
+
+
 class TestAnalyze:
     def test_auto_size_header_and_row(self, uniform_dust, tmp_path):
         out = tmp_path / "spec.csv"
@@ -287,6 +300,18 @@ class TestSweep:
         bad, good = report["entries"]
         assert bad["B"] == 5000 and "SizingViolation" in bad["error"]
         assert good["csv"].endswith("_B100.csv")
+
+    def test_warning_band_entry_warns_as_analyze(self, uniform_dust,
+                                                 tmp_path, capsys):
+        # S=10000: B=150 lies in the warning band, B=100 does not
+        assert run("analyze", str(uniform_dust), "--boxes", "150",
+                   "--bins", "9", "--out", str(tmp_path / "spec.csv")) == 0
+        analyzed = capsys.readouterr().err.splitlines()
+        assert run("sweep", str(uniform_dust), "--boxes", "150,100",
+                   "--bins", "9", "--out-prefix", str(tmp_path / "sw")) == 0
+        swept = capsys.readouterr().err.splitlines()
+        assert len(swept) == 1 and swept[0].startswith("warning: B=150 ")
+        assert swept == analyzed
 
     def test_all_entries_failing_exits_3(self, uniform_dust, tmp_path):
         prefix = str(tmp_path / "sw")

@@ -1,11 +1,15 @@
+import copy
+import json
 import math
-from dataclasses import astuple
+from dataclasses import asdict, astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfkappa.errors import NeedsSweep, TooFewPoints
-from mfkappa.geometry import (GeometryConfig, SegmentReport,
+from mfkappa.geometry import (CapShapeResult, FragmentReport, GeometryConfig,
+                              IsolatedPoint, SegmentReport,
                               SpectrumFeatures, _line_fit_residual,
                               _window_screen, cap_shape_check, classify,
                               compare_sweep, default_gap_threshold,
@@ -388,3 +392,177 @@ def test_kernel_defaults_are_geometry_configs():
     assert cap_shape_check(spec) == cap_shape_check(spec, default.tol)
     assert cap_shape_check(spec).is_cap  # a 0.1 dip is within 0.2
     assert detect_segment(spec) == detect_segment(spec, default.residual_tol)
+
+
+# --- the report before it became its dataclasses --------------------------
+
+def reference_fragments(spectrum, gap_threshold):
+    """detect_fragments before its split was vectorised: one pass over the
+    spacings, closing a fragment at each one above gap_threshold."""
+    alphas, fs = spectrum.alphas, spectrum.fs
+    n = alphas.size
+    frags = []
+    start = 0
+    gaps = []
+    for k in range(1, n):
+        spacing = alphas[k] - alphas[k - 1]
+        if spacing > gap_threshold:
+            frags.append((start, k - 1))
+            gaps.append(float(spacing))
+            start = k
+    frags.append((start, n - 1))
+    isolated = tuple(
+        IsolatedPoint(index=i, alpha=float(alphas[i]), f=float(fs[i]),
+                      on_axis=bool(fs[i] <= 1e-12))
+        for i, j in frags if i == j)
+    return FragmentReport(fragments=tuple(frags), gaps=tuple(gaps),
+                          isolated_points=isolated,
+                          gap_threshold=gap_threshold)
+
+
+def reference_cap(spectrum, tol):
+    """cap_shape_check before its valleys were one array comparison."""
+    fs = spectrum.fs
+    n = fs.size
+    violations = [j for j in range(1, n - 1)
+                  if fs[j] < fs[j - 1] - tol and fs[j] < fs[j + 1] - tol]
+    k = int(np.argmax(fs))
+    return CapShapeResult(is_cap=not violations,
+                          violations=tuple(violations),
+                          degenerate=k in (0, n - 1))
+
+
+def reference_report(spectrum, config):
+    """classify and as_dict before the report held exactly what it prints:
+    the hand-built mapping and resolved thresholds, over the reference
+    kernels."""
+    n = len(spectrum)
+    min_run = max(4, config.min_run if config.min_run is not None
+                  else math.ceil(n / 2))
+    gap_threshold = (default_gap_threshold(spectrum)
+                     if config.gap_threshold is None
+                     else config.gap_threshold)
+    frag = reference_fragments(spectrum, gap_threshold)
+    seg = (detect_segment(spectrum, config.residual_tol, min_run)
+           if n >= min_run else SegmentReport(found=False))
+    cap = reference_cap(spectrum, config.tol) if n >= 3 else None
+    if len(frag.fragments) >= 2:
+        regime = "PostCrisisBiMultifractal"
+    elif seg.found:
+        regime = "Crisis"
+    elif cap is not None and cap.is_cap:
+        regime = "PreCrisis"
+    else:
+        regime = "Indeterminate"
+    return {
+        "regime": regime,
+        "features": asdict(features(spectrum)),
+        "segment": asdict(seg),
+        "fragmentation": asdict(frag),
+        "cap_shaped": None if cap is None else cap.is_cap,
+        "config": {"residual_tol": config.residual_tol, "min_run": min_run,
+                   "gap_threshold": frag.gap_threshold, "tol": config.tol},
+    }
+
+
+def reference_json(d):
+    """The strict-JSON text the reference report was written as."""
+    for part in (d["fragmentation"], d["config"]):
+        if math.isinf(part["gap_threshold"]):
+            part["gap_threshold"] = None
+    return json.dumps(d, indent=2, allow_nan=False)
+
+
+def fuzz_reports(seed, count):
+    """Spectra with n from 0 to 12 (0, 1 and 2 often), alphas on a dyadic
+    grid so spacings tie exactly with a 0.25 or 0.5 threshold, f on a
+    grid so a dip ties exactly with a 0.25 tolerance, lone points on the
+    axis (f = 0 or 1e-12) and just off it (2e-12); and a config to
+    classify each with."""
+    rng = np.random.default_rng(seed)
+    levels = [0.0, 1e-12, 2e-12, 0.25, 0.5, 0.75, 1.0]
+    for _ in range(count):
+        n = int(rng.choice([0, 1, 2, rng.integers(3, 13)]))
+        if rng.random() < 0.7:
+            steps = rng.choice([0.125, 0.25, 0.5, 0.75], n)
+        else:
+            steps = rng.uniform(0.01, 0.8, n)
+        alphas = float(rng.choice([0.0, 0.5, 10.0])) + np.cumsum(steps)
+        fs = (rng.choice(levels, n) if rng.random() < 0.7
+              else rng.random(n))
+        spec = make_spectrum(alphas, fs, float(rng.choice([0.0, 0.1])))
+        cfg = GeometryConfig(
+            residual_tol=float(rng.choice([0.0, 1e-12, 0.02, 0.3])),
+            min_run=[None, 1, 4, 5, 9][rng.integers(5)],
+            gap_threshold=[None, math.inf, 1e-15, 0.25, 0.5,
+                           float(rng.uniform(0.05, 1))][rng.integers(6)],
+            tol=float(rng.choice([0.0, 1e-15, 0.2, 0.25])))
+        yield spec, cfg
+
+
+class TestAgainstReference:
+    def test_fragments_match_the_loop(self):
+        cut = lone = 0
+        for spec, cfg in fuzz_reports(41, 3000):
+            gap = (default_gap_threshold(spec) if cfg.gap_threshold is None
+                   else cfg.gap_threshold)
+            new = detect_fragments(spec, cfg.gap_threshold)
+            assert new == reference_fragments(spec, gap)
+            assert json.dumps(asdict(new)) == json.dumps(
+                asdict(reference_fragments(spec, gap)))
+            cut += len(new.fragments) >= 2
+            lone += any(p.on_axis for p in new.isolated_points)
+        assert cut > 500 and lone > 100
+
+    def test_cap_matches_the_comprehension(self):
+        valleys = 0
+        for spec, cfg in fuzz_reports(42, 3000):
+            if len(spec) < 3:
+                with pytest.raises(TooFewPoints):
+                    cap_shape_check(spec, cfg.tol)
+                continue
+            new = cap_shape_check(spec, cfg.tol)
+            assert astuple(new) == astuple(reference_cap(spec, cfg.tol))
+            assert all(type(j) is int for j in new.violations)
+            valleys += len(new.violations)
+        assert valleys > 500
+
+    def test_report_matches_the_mapping(self):
+        regimes = set()
+        for spec, cfg in fuzz_reports(43, 3000):
+            if len(spec) == 0:
+                continue
+            rep = classify(spec, cfg)
+            ref = reference_report(spec, cfg)
+            assert rep.as_dict() == ref
+            assert rep.to_json() == reference_json(ref)
+            regimes.add(rep.regime)
+        assert regimes == {"PreCrisis", "Crisis", "PostCrisisBiMultifractal",
+                           "Indeterminate"}
+
+
+def test_to_json_leaves_the_report_unchanged():
+    """One point: the thresholds are infinite and written as null, in the
+    text only."""
+    rep = classify(make_spectrum([0.7], [0.0]))
+    before = copy.deepcopy(rep.as_dict())
+    rep.to_json()
+    assert rep.as_dict() == before
+    assert rep.config["gap_threshold"] == math.inf
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,spectrum,config", [
+    ("crisis", cap_with_run(), GeometryConfig(residual_tol=1e-6, min_run=5)),
+    ("two_fragments", make_spectrum([0.5, 0.55, 0.6, 0.65, 1.3],
+                                    [0.3, 0.5, 0.45, 0.3, 0.0]),
+     GeometryConfig()),
+    ("one_point", make_spectrum([0.7], [0.0]), GeometryConfig()),
+])
+def test_report_json_golden_bytes(name, spectrum, config):
+    """The report's text, key order included, is what `mfk classify`
+    wrote before the report was its dataclasses."""
+    expected = (GOLDEN / f"report_{name}.json").read_text()
+    assert classify(spectrum, config).to_json() + "\n" == expected
