@@ -1,7 +1,6 @@
 """Multifractal spectra of Cantor dusts by the direct histogram method."""
 
-from .measure import (CantorDust, EventSignal, NaturalMeasure, cover,
-                      normalize_signal, read_dust, read_events, write_dust)
+from .measure import CantorDust, NaturalMeasure, cover, read_dust, write_dust
 from .spectrum import (AlphaField, SizingStatus, SizingVerdict, Spectrum,
                        alpha_field, auto_size, estimate, histogram_spectrum,
                        read_spectrum_csv, sweep_boxes, validate_sizing,

@@ -8,11 +8,7 @@ class MfkError(Exception):
 
 
 class EmptySignal(MfkError):
-    """Signal contains no events."""
-
-
-class BadWindow(MfkError):
-    """Degenerate or inverted time window."""
+    """Dust has no points."""
 
 
 class BadBoxCount(MfkError):

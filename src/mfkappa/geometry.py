@@ -71,8 +71,9 @@ class GeometryConfig:
     def __post_init__(self):
         for name in ("residual_tol", "tol"):
             value = getattr(self, name)
-            if not value >= 0:  # NaN fails this too
-                raise SpecError(f"{name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:  # NaN fails this too
+                raise SpecError(f"{name} must be finite and >= 0, "
+                                f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,8 @@ class RegimeReport:
 def features(spectrum: Spectrum) -> SpectrumFeatures:
     """Extract the curve summary; at equal f_max the smaller alpha wins."""
     alphas, fs = spectrum.alphas, spectrum.fs
+    if fs.size == 0:
+        raise TooFewPoints("features need >= 1 point, got 0")
     k = int(np.argmax(fs))  # argmax takes the first max: the smaller alpha
     return SpectrumFeatures(
         alpha_min=float(alphas[0]),

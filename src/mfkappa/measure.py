@@ -14,33 +14,11 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBoxCount, BadWindow, EmptySignal, FormatError
-
-
-@dataclass(frozen=True)
-class EventSignal:
-    """Raw timestamped contact events plus experiment metadata."""
-
-    events: np.ndarray            # strictly increasing times, seconds
-    window: tuple[float, float]   # (t_start, t_end)
-    meta: dict = field(default_factory=dict)  # e.g. kappa [g], nu [Hz]
-
-    def __post_init__(self):
-        ev = np.asarray(self.events, dtype=float)
-        object.__setattr__(self, "events", ev)
-        if ev.size == 0:
-            raise EmptySignal("signal has no events")
-        t0, t1 = self.window
-        if not t0 < t1:
-            raise BadWindow(f"window ({t0}, {t1}) is degenerate")
-        if not np.all(np.diff(ev) > 0):
-            raise FormatError("event times must be strictly increasing")
-        if not (ev[0] >= t0 and ev[-1] <= t1):
-            raise BadWindow("events fall outside the window")
+from .errors import BadBoxCount, EmptySignal, FormatError
 
 
 @dataclass(frozen=True)
@@ -77,12 +55,6 @@ class NaturalMeasure:
     @property
     def occupied(self) -> np.ndarray:
         return np.flatnonzero(self.counts > 0)
-
-
-def normalize_signal(signal: EventSignal) -> CantorDust:
-    """Map event times affinely onto the unit segment."""
-    t0, t1 = signal.window
-    return CantorDust((signal.events - t0) / (t1 - t0))
 
 
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:
@@ -168,27 +140,6 @@ def read_dust(path) -> CantorDust:
     if not points:
         raise FormatError(f"{path}: no dust points")
     return CantorDust(np.array(points))
-
-
-def read_events(path) -> EventSignal:
-    """Read an event file: one time per line, '#' key=value headers.
-
-    Recognized header keys: kappa, nu, t_start, t_end. If the window is not
-    given it defaults to the span of the events.
-    """
-    pairs, times = read_rows(path)
-    meta = dict(pairs)  # a repeated key: the last value holds
-    if not times:
-        raise EmptySignal(f"{path}: no events")
-    try:
-        t0 = float(meta.pop("t_start", times[0]))
-        t1 = float(meta.pop("t_end", times[-1]))
-        for key in ("kappa", "nu"):
-            if key in meta:
-                meta[key] = float(meta[key])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header value: {exc}")
-    return EventSignal(events=np.array(times), window=(t0, t1), meta=meta)
 
 
 def write_dust(dust: CantorDust, path, header: dict | None = None) -> None:

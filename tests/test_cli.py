@@ -381,6 +381,8 @@ class TestErrorContract:
         ["classify", "{csv}", "--cap-tol", "nan"],
         ["classify", "{csv}", "--segment-tol", "-1"],
         ["classify", "{csv}", "--cap-tol", "-1"],
+        ["classify", "{csv}", "--segment-tol", "inf"],
+        ["classify", "{csv}", "--cap-tol", "inf"],
         ["generate", "selfsimilar", "--p", "nan", "--depth", "4", "--S",
          "10", "--out", "{tmp}/nan.txt"],
         ["generate", "selfsimilar", "--r", "nan", "--depth", "4", "--S",
@@ -397,7 +399,8 @@ class TestErrorContract:
         ["generate", "uniform", "--seed", "0", "--out", "{tmp}/u.txt"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
-            "cap-tol-negative", "selfsimilar-p-nan", "selfsimilar-r-nan",
+            "cap-tol-negative", "segment-tol-inf", "cap-tol-inf",
+            "selfsimilar-p-nan", "selfsimilar-r-nan",
             "sweep-bins-0", "sweep-boxes-1", "selfsimilar-seed-negative",
             "uniform-seed-negative", "equispaced-seed",
             "equispaced-seed-0"])

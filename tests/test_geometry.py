@@ -64,6 +64,13 @@ class TestFeatures:
         s = make_spectrum([0.5, 0.7, 0.9], [0.3, 0.7, 0.4])
         assert features(s).bisectrix_gap <= 1e-12
 
+    def test_empty_spectrum_refused(self):
+        s = make_spectrum([], [])
+        with pytest.raises(TooFewPoints):
+            features(s)
+        with pytest.raises(TooFewPoints):
+            classify(s)
+
 
 class TestCompareSweep:
     def test_table1_trend(self):

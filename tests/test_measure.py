@@ -4,42 +4,14 @@ import stat
 import numpy as np
 import pytest
 
-from mfkappa.errors import BadBoxCount, BadWindow, EmptySignal, FormatError
-from mfkappa.measure import (CantorDust, EventSignal, atomic_write, cover,
-                             normalize_signal, read_dust, read_events,
+from mfkappa.errors import BadBoxCount, EmptySignal, FormatError
+from mfkappa.measure import (CantorDust, atomic_write, cover, read_dust,
                              write_dust)
-
-
-def test_normalize_midpoint():
-    sig = EventSignal(events=np.array([5.0]), window=(0.0, 10.0))
-    dust = normalize_signal(sig)
-    assert dust.points.tolist() == [0.5]
-
-
-def test_normalize_endpoints():
-    sig = EventSignal(events=np.array([0.0, 10.0]), window=(0.0, 10.0))
-    assert normalize_signal(sig).points.tolist() == [0.0, 1.0]
 
 
 def test_empty_signal_rejected():
     with pytest.raises(EmptySignal):
-        EventSignal(events=np.array([]), window=(0.0, 1.0))
-
-
-def test_degenerate_window_rejected():
-    with pytest.raises(BadWindow):
-        EventSignal(events=np.array([0.5]), window=(1.0, 1.0))
-
-
-def test_duplicate_events_rejected():
-    with pytest.raises(FormatError):
-        EventSignal(events=np.array([0.5, 0.5]), window=(0.0, 1.0))
-
-
-def test_normalize_idempotent_on_unit_window():
-    pts = np.array([0.1, 0.4, 0.9])
-    sig = EventSignal(events=pts, window=(0.0, 1.0))
-    assert normalize_signal(sig).points.tolist() == pts.tolist()
+        CantorDust(np.array([]))
 
 
 def test_cover_direct_count():
@@ -114,17 +86,6 @@ def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
     assert (tmp_path / "out.txt").read_text() == "0.5\n" * 1000
 
 
-def test_read_events_with_metadata(tmp_path):
-    path = tmp_path / "events.txt"
-    path.write_text(
-        "# kappa=4.08\n# nu=20\n# t_start=0\n# t_end=10\n2.5\n5.0\n")
-    sig = read_events(path)
-    assert sig.meta["kappa"] == 4.08
-    assert sig.window == (0.0, 10.0)
-    dust = normalize_signal(sig)
-    assert dust.points.tolist() == [0.25, 0.5]
-
-
 def test_read_dust_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0.5\nnot-a-number\n")
@@ -137,16 +98,3 @@ def test_read_dust_rejects_nan(tmp_path):
     path.write_text("0.5\nnan\n")
     with pytest.raises(FormatError):
         read_dust(path)
-
-
-def test_nan_event_rejected():
-    with pytest.raises(FormatError):
-        EventSignal(events=np.array([0.1, np.nan, 0.5]), window=(0.0, 1.0))
-
-
-@pytest.mark.parametrize("header", ["# t_start=abc", "# kappa=heavy"])
-def test_read_events_bad_header_value(tmp_path, header):
-    path = tmp_path / "events.txt"
-    path.write_text(f"{header}\n2.5\n5.0\n")
-    with pytest.raises(FormatError, match="events.txt"):
-        read_events(path)
