@@ -6,8 +6,8 @@ another kind is refused rather than ignored. Classify flags that are not
 given leave GeometryConfig's defaults in force. Every failure, a bad flag
 included, ends in main's one handler: a single `error:` line on stderr and
 the exit code the error class carries (MfkError.exit_code, which an
-OSError shares with the base class): 1 I/O or parse failure, 2 bad
-generator spec or bad flags, 3 sizing refusal.
+OSError or MemoryError shares with the base class): 1 I/O, parse or
+allocation failure, 2 bad generator spec or bad flags, 3 sizing refusal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 
 from . import geometry, oracles, spectrum
-from .errors import BadBoxCount, MfkError, SizingViolation, SpecError
+from .errors import MfkError, SizingViolation, SpecError
 from .measure import atomic_write, read_dust, write_dust
 from .spectrum import SizingStatus
 
@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, out) -> None:
     if out:
-        atomic_write(out, text)
+        atomic_write(out, [text])
     else:
         sys.stdout.write(text)
 
@@ -136,13 +136,13 @@ def cmd_sweep(args) -> None:
     A = args.bins if args.bins is not None else spectrum.auto_size(
         dust.sample_size)[1]
     entries = spectrum.sweep_boxes(dust, B_list, A, force=args.force)
+    refusals = [None if e.error is None
+                else f"{type(e.error).__name__}: {e.error}" for e in entries]
     ok_entries = [e for e in entries if e.spectrum is not None]
-    if not ok_entries:  # exit 3 if any B was a sizing refusal, else 2
-        refused = any(e.error.startswith(SizingViolation.__name__)
-                      for e in entries)
-        raise (SizingViolation if refused else BadBoxCount)(
-            "every sweep entry failed: " + "; ".join(
-                f"B={e.B}: {e.error}" for e in entries))
+    if not ok_entries:  # the gravest refusal sets the exit code: 3 over 2
+        worst = max((e.error for e in entries), key=lambda exc: exc.exit_code)
+        raise type(worst)("every sweep entry failed: " + "; ".join(
+            f"B={e.B}: {text}" for e, text in zip(entries, refusals)))
     csv_paths = {}
     for e in ok_entries:
         _warn(e.spectrum)
@@ -150,20 +150,20 @@ def cmd_sweep(args) -> None:
         spectrum.write_spectrum_csv(e.spectrum, path)
         csv_paths[e.B] = path
     report = {"A": A, "entries": [
-        {"B": e.B, "csv": csv_paths.get(e.B), "error": e.error}
-        for e in entries]}
+        {"B": e.B, "csv": csv_paths.get(e.B), "error": text}
+        for e, text in zip(entries, refusals)]}
     feats = [geometry.features(e.spectrum) for e in ok_entries]
     report["trend"] = (geometry.compare_sweep(feats) if len(feats) >= 2
                        else "NeedsSweep")
     atomic_write(f"{args.out_prefix}_report.json",
-                 json.dumps(report, indent=2, allow_nan=False) + "\n")
+                 [json.dumps(report, indent=2, allow_nan=False) + "\n"])
 
 
 def cmd_plot(args) -> None:
     from .svgplot import render_spectra_svg
     spectra = [spectrum.read_spectrum_csv(p) for p in args.inputs]
     svg = render_spectra_svg(spectra, gap_threshold=args.gap_threshold)
-    atomic_write(args.out, svg)
+    atomic_write(args.out, [svg])
 
 
 def _generate_parsers(kinds) -> None:
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-    except (MfkError, OSError) as exc:
+    except (MfkError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return getattr(exc, "exit_code", MfkError.exit_code)
     return 0

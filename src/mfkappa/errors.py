@@ -41,7 +41,7 @@ class NeedsSweep(MfkError):
     """Trend comparison requires at least two feature sets."""
 
 
-class DepthTooLarge(MfkError):
+class DepthTooLarge(SpecError):
     """Cascade depth would underflow interval lengths."""
 
 

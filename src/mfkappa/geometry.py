@@ -31,13 +31,6 @@ class SpectrumFeatures:
 
 
 @dataclass(frozen=True)
-class CapShapeResult:
-    is_cap: bool
-    violations: tuple[int, ...]  # indices of interior valley points
-    degenerate: bool             # peak sits at either end of the curve
-
-
-@dataclass(frozen=True)
 class SegmentReport:
     found: bool
     run: tuple[int, int] | None = None  # inclusive index range
@@ -135,20 +128,17 @@ def compare_sweep(features_list) -> dict:
 
 
 def cap_shape_check(spectrum: Spectrum,
-                    tol: float = GeometryConfig.tol) -> CapShapeResult:
+                    tol: float = GeometryConfig.tol) -> bool:
     """Single-peak test: no interior point sits more than tol below both
-    neighbours. A peak at either end passes but is flagged degenerate."""
+    neighbours. A peak at either end passes."""
     fs = spectrum.fs
     n = fs.size
     if n < 3:
         raise TooFewPoints(f"cap test needs >= 3 points, got {n}")
     # x - tol is monotone under rounding, so min(a, b) - tol is exactly
     # min(a - tol, b - tol): below both neighbours' bounds at once
-    valleys = np.flatnonzero(fs[1:-1] < np.minimum(fs[:-2], fs[2:]) - tol)
-    k = int(np.argmax(fs))
-    return CapShapeResult(is_cap=valleys.size == 0,
-                          violations=tuple((valleys + 1).tolist()),
-                          degenerate=k in (0, n - 1))
+    valleys = fs[1:-1] < np.minimum(fs[:-2], fs[2:]) - tol
+    return not valleys.any()  # a bool, not numpy's, so JSON can hold it
 
 
 def _line_fit_residual(alphas, fs):
@@ -273,8 +263,7 @@ def classify(spectrum: Spectrum,
                   else math.ceil(n / 2))
     frag = detect_fragments(spectrum, config.gap_threshold)
     seg = detect_segment(spectrum, config.residual_tol, min_run)
-    cap_shaped = (cap_shape_check(spectrum, config.tol).is_cap if n >= 3
-                  else None)
+    cap_shaped = cap_shape_check(spectrum, config.tol) if n >= 3 else None
 
     if len(frag.fragments) >= 2:
         regime = "PostCrisisBiMultifractal"

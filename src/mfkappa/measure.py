@@ -15,10 +15,13 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import BadBoxCount, EmptySignal, FormatError
+
+_CHUNK_LINES = 1 << 16  # format_rows' chunk: about 1.3 MB of dust text
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class NaturalMeasure:
     @property
     def mu(self) -> np.ndarray:
         return self.counts / self.counts.sum()
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return np.flatnonzero(self.counts > 0)
 
 
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:
@@ -125,13 +124,16 @@ def read_rows(path, parse=float, header=None):
     return pairs, rows
 
 
-def format_rows(pairs, rows, header=None) -> str:
-    """The table read_rows reads: '# key=value' pairs, header, rows."""
-    lines = [f"# {key}={val}" for key, val in pairs]
-    if header is not None:
-        lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def format_rows(pairs, rows, header=None):
+    """The table read_rows reads: '# key=value' pairs, header, rows.
+
+    Yields the text in chunks of at most _CHUNK_LINES lines, so a writer
+    never holds the whole table at once.
+    """
+    lines = chain((f"# {key}={val}" for key, val in pairs),
+                  () if header is None else (header,), rows)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        yield "\n".join(chunk) + "\n"
 
 
 def read_dust(path) -> CantorDust:
@@ -148,13 +150,14 @@ def write_dust(dust: CantorDust, path, header: dict | None = None) -> None:
     atomic_write(path, format_rows((header or {}).items(), points))
 
 
-def atomic_write(path, text: str) -> None:
+def atomic_write(path, chunks) -> None:
+    """Write the text chunks to path atomically (temp file + rename)."""
     path = os.fspath(path)
     dirname = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".mfk-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())  # on disk before the rename publishes it
         umask = os.umask(0)  # read it: mkstemp's 0600 ignores it

@@ -25,6 +25,13 @@ _MAX_LOG_SHRINK = 690.0
 _TABLE_LEVELS = 16
 
 
+def _check_array_size(S: int) -> None:
+    """Refuse a sample size past the largest length an array can have."""
+    if S > np.iinfo(np.intp).max:
+        raise SpecError(f"sample size {S} exceeds the largest array length, "
+                        f"{np.iinfo(np.intp).max}")
+
+
 @dataclass(frozen=True)
 class SelfSimilarSpec:
     """Two-branch multiplicative cascade: weights (p1,p2), ratios (r1,r2)."""
@@ -49,6 +56,7 @@ class SelfSimilarSpec:
             raise SpecError("depth must be >= 1")
         if not self.S >= 1:
             raise SpecError("sample size must be >= 1")
+        _check_array_size(self.S)
         if not self.seed >= 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
 
@@ -138,6 +146,7 @@ def gen_superposed(spec_a: SelfSimilarSpec, spec_b: SelfSimilarSpec,
     if not 0.0 < mix < 1.0:
         raise SpecError(f"mix must lie strictly in (0,1), got {mix}")
     total = spec_a.S + spec_b.S
+    _check_array_size(total)
     n_a = round(mix * total)
     n_b = total - n_a
     pts_a = _cascade_points(spec_a, n_a, np.random.default_rng(spec_a.seed))
@@ -193,6 +202,7 @@ def gen_uniform(S: int, mode: str = "equispaced",
     """Uniform dust: equispaced midpoints (k+0.5)/S or S i.i.d. draws."""
     if S < 1:
         raise SpecError(f"sample size must be >= 1, got {S}")
+    _check_array_size(S)
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     if mode == "equispaced":

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (BadBoxCount, FormatError, SizingViolation, SpecError,
-                     TooFewSamples)
+from .errors import (BadBoxCount, FormatError, MfkError, SizingViolation,
+                     SpecError, TooFewSamples)
 from .measure import (CantorDust, NaturalMeasure, atomic_write, cover,
                       format_rows, read_rows)
 
@@ -39,7 +39,6 @@ class SizingVerdict:
 class AlphaField:
     """Concentration exponent per occupied box."""
 
-    box_indices: np.ndarray
     alphas: np.ndarray
     box_count: int
 
@@ -89,10 +88,9 @@ class Spectrum:
 
 def alpha_field(measure: NaturalMeasure) -> AlphaField:
     """Compute alpha = ln(mu)/ln(eps_l) for every occupied box."""
-    occ = measure.occupied
     log_eps = math.log(1.0 / measure.box_count)  # -log(B) may differ by 1 ulp
-    alphas = np.log(measure.mu[occ]) / log_eps
-    return AlphaField(box_indices=occ, alphas=alphas,
+    mu = measure.mu
+    return AlphaField(alphas=np.log(mu[mu > 0]) / log_eps,
                       box_count=measure.box_count)
 
 
@@ -175,7 +173,7 @@ def estimate(dust: CantorDust, B: int, A: int, force: bool = False) -> Spectrum:
 class SweepEntry:
     B: int
     spectrum: Spectrum | None
-    error: str | None = None
+    error: MfkError | None = None  # the refusal, when spectrum is None
 
 
 def sweep_boxes(dust: CantorDust, B_list, A: int,
@@ -188,7 +186,7 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
         try:
             out.append(SweepEntry(B, estimate(dust, B, A, force=force)))
         except (SizingViolation, BadBoxCount) as exc:
-            out.append(SweepEntry(B, None, f"{type(exc).__name__}: {exc}"))
+            out.append(SweepEntry(B, None, exc))
     return out
 
 
@@ -201,11 +199,11 @@ def format_spectrum_csv(spec: Spectrum) -> str:
              ("sizing", p.sizing.status.value)]
     pairs += [("sizing_note", msg) for msg in p.sizing.messages]
     rows = map("{!r},{!r}".format, spec.alphas.tolist(), spec.fs.tolist())
-    return format_rows(pairs, rows, header="alpha,f")
+    return "".join(format_rows(pairs, rows, header="alpha,f"))
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> None:
-    atomic_write(path, format_spectrum_csv(spec))
+    atomic_write(path, [format_spectrum_csv(spec)])
 
 
 def _alpha_f_row(line):

@@ -318,6 +318,26 @@ class TestSweep:
         assert run("sweep", str(uniform_dust), "--boxes", "5000,6000",
                    "--bins", "9", "--out-prefix", prefix) == 3
 
+    def test_repeated_refused_box_count_names_each_entry(
+            self, uniform_dust, tmp_path, capsys):
+        prefix = str(tmp_path / "sw")
+        assert run("sweep", str(uniform_dust), "--boxes", "1,1",
+                   "--bins", "1", "--out-prefix", prefix) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].count("B=1: BadBoxCount: ") == 2
+        assert not (tmp_path / "sw_report.json").exists()
+
+    def test_repeated_box_count_gives_an_entry_each(self, uniform_dust,
+                                                    tmp_path):
+        prefix = str(tmp_path / "sw")
+        assert run("sweep", str(uniform_dust), "--boxes", "100,100",
+                   "--bins", "9", "--out-prefix", prefix) == 0
+        report = json.loads((tmp_path / "sw_report.json").read_text())
+        assert [e["B"] for e in report["entries"]] == [100, 100]
+        assert all(e["error"] is None for e in report["entries"])
+        assert isinstance(report["trend"], dict)
+
 
 class TestPlot:
     def spectra_files(self, tmp_path):
@@ -360,7 +380,7 @@ class TestErrorContract:
     'error:' line and no traceback."""
 
     DOCUMENTED = {errors.SpecError: 2, errors.BadBoxCount: 2,
-                  errors.SizingViolation: 3}
+                  errors.DepthTooLarge: 2, errors.SizingViolation: 3}
 
     def test_exit_code_on_every_error_class(self):
         seen, todo = [], [errors.MfkError]
@@ -397,13 +417,20 @@ class TestErrorContract:
         ["generate", "uniform", "--mode", "equispaced", "--seed", "7",
          "--out", "{tmp}/u.txt"],
         ["generate", "uniform", "--seed", "0", "--out", "{tmp}/u.txt"],
+        ["generate", "selfsimilar", "--depth", "700", "--S", "10",
+         "--out", "{tmp}/s.txt"],
+        ["generate", "selfsimilar", "--S", "10000000000000000000",
+         "--out", "{tmp}/s.txt"],
+        ["generate", "uniform", "--mode", "random", "--S",
+         "10000000000000000000", "--out", "{tmp}/u.txt"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
             "cap-tol-negative", "segment-tol-inf", "cap-tol-inf",
             "selfsimilar-p-nan", "selfsimilar-r-nan",
             "sweep-bins-0", "sweep-boxes-1", "selfsimilar-seed-negative",
             "uniform-seed-negative", "equispaced-seed",
-            "equispaced-seed-0"])
+            "equispaced-seed-0", "selfsimilar-depth-underflows",
+            "selfsimilar-S-past-intp", "uniform-S-past-intp"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")
@@ -417,6 +444,25 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("kind", [
+        ["uniform", "--mode", "random"], ["uniform"], ["selfsimilar"]],
+        ids=["uniform-random", "uniform-equispaced", "selfsimilar"])
+    def test_unallocatable_sample_exits_1(self, kind, tmp_path):
+        # 1e18 points fit an index but no address space: the allocation
+        # fails at once, and main reports it as one line
+        out = tmp_path / "out.txt"
+        src = os.path.dirname(os.path.dirname(mfkappa.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfkappa.cli", "generate", *kind,
+             "--S", str(10 ** 18), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"p": [0.5, 0.5], "depth": 4, "S": 10}',

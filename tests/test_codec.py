@@ -9,6 +9,7 @@ byte-identical.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +154,18 @@ HEADER = st.dictionaries(
           deadline=None)  # write_dust fsyncs every file
 @given(dusts(), st.one_of(st.none(), HEADER))
 def test_write_dust_bytes_match_reference(tmp_path, dust, header):
+    path = tmp_path / "dust.txt"
+    write_dust(dust, path, header=header)
+    assert path.read_bytes() == reference_format_dust(dust, header).encode()
+
+
+@pytest.mark.parametrize("S", [1 << 16, (1 << 16) + 1],
+                         ids=["2^16-points", "2^16+1-points"])
+@pytest.mark.parametrize("header", [None, {"kind": "fixture"}],
+                         ids=["bare", "header"])
+def test_write_dust_bytes_match_across_a_chunk_boundary(tmp_path, S, header):
+    # format_rows chunks at 2^16 lines, which no drawn dust above reaches
+    dust = CantorDust(np.random.default_rng(S).random(S))
     path = tmp_path / "dust.txt"
     write_dust(dust, path, header=header)
     assert path.read_bytes() == reference_format_dust(dust, header).encode()

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from mfkappa.errors import NeedsSweep, TooFewPoints
-from mfkappa.geometry import (CapShapeResult, FragmentReport, GeometryConfig,
-                              IsolatedPoint, SegmentReport,
-                              SpectrumFeatures, _line_fit_residual,
-                              _window_screen, cap_shape_check, classify,
-                              compare_sweep, default_gap_threshold,
-                              detect_fragments, detect_segment, features)
+from mfkappa.geometry import (FragmentReport, GeometryConfig, IsolatedPoint,
+                              SegmentReport, SpectrumFeatures,
+                              _line_fit_residual, _window_screen,
+                              cap_shape_check, classify, compare_sweep,
+                              default_gap_threshold, detect_fragments,
+                              detect_segment, features)
 from mfkappa.spectrum import Spectrum, SpectrumParams
 
 
@@ -104,19 +104,15 @@ class TestCapShape:
     def test_parabola_is_cap(self):
         alphas = np.arange(0.8, 1.2001, 0.05)
         fs = 1 - 4 * (alphas - 1) ** 2
-        assert cap_shape_check(make_spectrum(alphas, fs), tol=0.02).is_cap
+        assert cap_shape_check(make_spectrum(alphas, fs), tol=0.02)
 
     def test_w_shape_rejected(self):
-        res = cap_shape_check(
+        assert not cap_shape_check(
             make_spectrum([0.9, 1.0, 1.1], [0.5, 0.2, 0.5]), tol=0.02)
-        assert not res.is_cap
-        assert 1 in res.violations
 
     def test_monotone_is_degenerate_cap(self):
-        res = cap_shape_check(
+        assert cap_shape_check(
             make_spectrum([0.9, 1.0, 1.1], [0.1, 0.2, 0.5]), tol=0.02)
-        assert res.is_cap
-        assert res.degenerate
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -397,7 +393,7 @@ def test_kernel_defaults_are_geometry_configs():
     default = GeometryConfig()
     spec = make_spectrum([0.9, 1.0, 1.1, 1.2], [0.5, 0.4, 0.5, 0.3])
     assert cap_shape_check(spec) == cap_shape_check(spec, default.tol)
-    assert cap_shape_check(spec).is_cap  # a 0.1 dip is within 0.2
+    assert cap_shape_check(spec)  # a 0.1 dip is within 0.2
     assert detect_segment(spec) == detect_segment(spec, default.residual_tol)
 
 
@@ -431,12 +427,8 @@ def reference_cap(spectrum, tol):
     """cap_shape_check before its valleys were one array comparison."""
     fs = spectrum.fs
     n = fs.size
-    violations = [j for j in range(1, n - 1)
-                  if fs[j] < fs[j - 1] - tol and fs[j] < fs[j + 1] - tol]
-    k = int(np.argmax(fs))
-    return CapShapeResult(is_cap=not violations,
-                          violations=tuple(violations),
-                          degenerate=k in (0, n - 1))
+    return not [j for j in range(1, n - 1)
+                if fs[j] < fs[j - 1] - tol and fs[j] < fs[j + 1] - tol]
 
 
 def reference_report(spectrum, config):
@@ -457,7 +449,7 @@ def reference_report(spectrum, config):
         regime = "PostCrisisBiMultifractal"
     elif seg.found:
         regime = "Crisis"
-    elif cap is not None and cap.is_cap:
+    elif cap:
         regime = "PreCrisis"
     else:
         regime = "Indeterminate"
@@ -466,7 +458,7 @@ def reference_report(spectrum, config):
         "features": asdict(features(spectrum)),
         "segment": asdict(seg),
         "fragmentation": asdict(frag),
-        "cap_shaped": None if cap is None else cap.is_cap,
+        "cap_shaped": cap,
         "config": {"residual_tol": config.residual_tol, "min_run": min_run,
                    "gap_threshold": frag.gap_threshold, "tol": config.tol},
     }
@@ -522,17 +514,17 @@ class TestAgainstReference:
         assert cut > 500 and lone > 100
 
     def test_cap_matches_the_comprehension(self):
-        valleys = 0
+        rejected = 0
         for spec, cfg in fuzz_reports(42, 3000):
             if len(spec) < 3:
                 with pytest.raises(TooFewPoints):
                     cap_shape_check(spec, cfg.tol)
                 continue
             new = cap_shape_check(spec, cfg.tol)
-            assert astuple(new) == astuple(reference_cap(spec, cfg.tol))
-            assert all(type(j) is int for j in new.violations)
-            valleys += len(new.violations)
-        assert valleys > 500
+            assert type(new) is bool
+            assert new == reference_cap(spec, cfg.tol)
+            rejected += not new
+        assert rejected > 500
 
     def test_report_matches_the_mapping(self):
         regimes = set()

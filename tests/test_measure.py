@@ -61,7 +61,7 @@ def test_dust_roundtrip(tmp_path):
 def test_atomic_write_honours_umask(tmp_path):
     old = os.umask(0o022)
     try:
-        atomic_write(tmp_path / "out.txt", "x\n")
+        atomic_write(tmp_path / "out.txt", ["x\n"])
     finally:
         os.umask(old)
     assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o644
@@ -81,7 +81,7 @@ def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
-    atomic_write(tmp_path / "out.txt", "0.5\n" * 1000)
+    atomic_write(tmp_path / "out.txt", ["0.5\n" * 500, "0.5\n" * 500])
     assert calls == [("fsync", 4000), ("replace", False)]
     assert (tmp_path / "out.txt").read_text() == "0.5\n" * 1000
 

@@ -42,6 +42,12 @@ class TestSelfSimilarGen:
         with pytest.raises(SpecError):
             SelfSimilarSpec(p=p, r=r, depth=3, S=10)
 
+    def test_superposed_union_past_array_length_rejected(self):
+        half = SelfSimilarSpec(**MIDDLE_THIRD, depth=3,
+                               S=(np.iinfo(np.intp).max + 1) // 2)
+        with pytest.raises(SpecError):  # each fits an array, the union not
+            gen_superposed(half, half, 0.5)
+
     def test_from_dict_takes_whole_float_counts(self):
         spec = SelfSimilarSpec.from_dict(
             {**MIDDLE_THIRD, "depth": 4.0, "S": 1e6, "seed": 2.0})
