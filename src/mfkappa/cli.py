@@ -38,9 +38,9 @@ def _emit(text: str, out) -> None:
 def _warn(spec: spectrum.Spectrum) -> None:
     """One `warning:` line on stderr per sizing note of a Warning-band
     spectrum; the tag is coloured only on a terminal."""
-    if spec.params.sizing.status is SizingStatus.WARNING:
+    if spec.sizing.status is SizingStatus.WARNING:
         tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
-        for msg in spec.params.sizing.messages:
+        for msg in spec.sizing.messages:
             sys.stderr.write(f"{tag} {msg}\n")
 
 
@@ -144,7 +144,7 @@ def cmd_sweep(args) -> None:
         raise type(worst)("every sweep entry failed: " + "; ".join(
             f"B={e.B}: {text}" for e, text in zip(entries, refusals)))
     csv_paths = {}
-    for e in ok_entries:
+    for e in {e.B: e for e in ok_entries}.values():  # once per distinct B
         _warn(e.spectrum)
         path = f"{args.out_prefix}_B{e.B}.csv"
         spectrum.write_spectrum_csv(e.spectrum, path)

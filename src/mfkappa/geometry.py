@@ -246,7 +246,7 @@ def default_gap_threshold(spectrum: Spectrum) -> float:
     alphas = spectrum.alphas
     if alphas.size < 2:
         return math.inf
-    eps_a = spectrum.params.epsilon_alpha
+    eps_a = spectrum.epsilon_alpha
     if eps_a > 0:
         return max(1.5 * eps_a, 0.1)
     med = float(np.median(np.diff(alphas)))

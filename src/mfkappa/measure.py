@@ -46,10 +46,14 @@ class CantorDust:
 
 @dataclass(frozen=True)
 class NaturalMeasure:
-    """Per-box probabilities over B equal boxes covering [0,1]."""
+    """Per-box probabilities over B equal boxes covering [0,1], from any
+    nonnegative mass per box: point counts or exact weights alike."""
 
-    box_count: int
-    counts: np.ndarray  # integer occupancy per box, sums to S
+    counts: np.ndarray  # mass per box; B = counts.size
+
+    @property
+    def box_count(self) -> int:
+        return int(self.counts.size)
 
     @property
     def mu(self) -> np.ndarray:
@@ -82,7 +86,7 @@ def cover(dust: CantorDust, B: int) -> NaturalMeasure:
         np.minimum(key, B - 1, out=key)  # p == 1.0 goes to the closed last box
         below = np.where((probe <= S) & (key < boxes), probe, below)
         step >>= 1
-    return NaturalMeasure(box_count=B, counts=np.diff(below))
+    return NaturalMeasure(np.diff(below))
 
 
 # --- file formats ---------------------------------------------------------
@@ -146,8 +150,10 @@ def read_dust(path) -> CantorDust:
 
 def write_dust(dust: CantorDust, path, header: dict | None = None) -> None:
     """Write a dust file atomically (temp file + rename)."""
-    points = map(repr, dust.points.tolist())
-    atomic_write(path, format_rows((header or {}).items(), points))
+    pts = dust.points  # converted to Python floats one chunk at a time
+    rows = chain.from_iterable(map(repr, pts[i:i + _CHUNK_LINES].tolist())
+                               for i in range(0, pts.size, _CHUNK_LINES))
+    atomic_write(path, format_rows((header or {}).items(), rows))
 
 
 def atomic_write(path, chunks) -> None:

@@ -12,7 +12,7 @@ separated, S >= B^2 and B >= A^2, with a tolerated band up to B <= 2*sqrt(S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -36,24 +36,22 @@ class SizingVerdict:
 
 
 @dataclass(frozen=True)
-class AlphaField:
-    """Concentration exponent per occupied box."""
+class Spectrum:
+    """Finite (alpha, f) point list, alphas strictly increasing, with the
+    sizes it was estimated at: sample size S, box count B, bin count A and
+    bin width epsilon_alpha. An S, B or A of 0 means the spectrum CSV it
+    was read from did not give it."""
 
     alphas: np.ndarray
-    box_count: int
-
-
-@dataclass(frozen=True)
-class SpectrumParams:
+    fs: np.ndarray
     S: int
     B: int
     A: int
     epsilon_alpha: float
-    sizing: SizingVerdict = field(
-        default_factory=lambda: SizingVerdict(SizingStatus.OK))
+    sizing: SizingVerdict = SizingVerdict(SizingStatus.OK)
 
     def __post_init__(self):
-        counts = (self.S, self.B, self.A)  # 0 stands for unknown
+        counts = (self.S, self.B, self.A)
         if not all(isinstance(v, (int, np.integer)) and v >= 0
                    for v in counts):
             raise FormatError("S, B and A must be integers >= 0, "
@@ -62,17 +60,6 @@ class SpectrumParams:
         if not (math.isfinite(eps_a) and eps_a >= 0):
             raise FormatError("epsilon_alpha must be finite and >= 0, "
                               f"got {eps_a}")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Finite (alpha, f) point list, alphas strictly increasing."""
-
-    alphas: np.ndarray
-    fs: np.ndarray
-    params: SpectrumParams
-
-    def __post_init__(self):
         a, f = self.alphas, self.fs
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))
                 and np.all(np.diff(a) > 0)):
@@ -86,16 +73,15 @@ class Spectrum:
         return list(zip(self.alphas.tolist(), self.fs.tolist()))
 
 
-def alpha_field(measure: NaturalMeasure) -> AlphaField:
+def alpha_field(measure: NaturalMeasure) -> np.ndarray:
     """Compute alpha = ln(mu)/ln(eps_l) for every occupied box."""
     log_eps = math.log(1.0 / measure.box_count)  # -log(B) may differ by 1 ulp
     mu = measure.mu
-    return AlphaField(alphas=np.log(mu[mu > 0]) / log_eps,
-                      box_count=measure.box_count)
+    return np.log(mu[mu > 0]) / log_eps
 
 
-def histogram_spectrum(fld: AlphaField, A: int) -> Spectrum:
-    """Bin the alpha field into A equal-width bins and emit (alpha, f) points.
+def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
+    """Bin the alphas of B boxes into A equal-width bins; emit (alpha, f).
 
     Bins span [min(alpha), max(alpha)], last bin closed; a bin holding N
     boxes contributes the point (bin midpoint, ln N / ln B). Empty bins are
@@ -103,25 +89,24 @@ def histogram_spectrum(fld: AlphaField, A: int) -> Spectrum:
     """
     if A < 1:
         raise SpecError(f"bin count must be >= 1, got {A}")
-    if fld.alphas.size == 0:
+    if alphas.size == 0:
         raise ValueError("alpha field is empty")
-    a_lo = float(fld.alphas.min())
-    a_hi = float(fld.alphas.max())
-    log_b = math.log(fld.box_count)
+    a_lo = float(alphas.min())
+    a_hi = float(alphas.max())
+    log_b = math.log(B)
     if a_hi == a_lo:
         eps_a = 0.0
         mids = np.array([a_lo])
-        fs = np.array([math.log(fld.alphas.size) / log_b])
+        fs = np.array([math.log(alphas.size) / log_b])
     else:
         eps_a = (a_hi - a_lo) / A
-        bins = ((fld.alphas - a_lo) / eps_a).astype(np.int64)
+        bins = ((alphas - a_lo) / eps_a).astype(np.int64)
         np.clip(bins, 0, A - 1, out=bins)  # closed last bin
         counts = np.bincount(bins, minlength=A)
         occupied = np.flatnonzero(counts)
         mids = a_lo + (occupied + 0.5) * eps_a
         fs = np.log(counts[occupied]) / log_b
-    params = SpectrumParams(S=0, B=fld.box_count, A=A, epsilon_alpha=eps_a)
-    return Spectrum(mids, fs, params)
+    return Spectrum(mids, fs, S=0, B=B, A=A, epsilon_alpha=eps_a)
 
 
 def validate_sizing(S: int, B: int, A: int) -> SizingVerdict:
@@ -160,13 +145,12 @@ def auto_size(S: int) -> tuple[int, int]:
 
 def estimate(dust: CantorDust, B: int, A: int, force: bool = False) -> Spectrum:
     """Full pipeline: cover, alpha field, histogram. Refuses sizing Violations
-    unless force is set; the verdict travels in the output params."""
+    unless force is set; the spectrum carries S and the sizing verdict."""
     verdict = validate_sizing(dust.sample_size, B, A)
     if verdict.status is SizingStatus.VIOLATION and not force:
         raise SizingViolation("; ".join(verdict.messages))
-    spec = histogram_spectrum(alpha_field(cover(dust, B)), A)
-    return replace(spec, params=replace(spec.params, S=dust.sample_size,
-                                        sizing=verdict))
+    spec = histogram_spectrum(alpha_field(cover(dust, B)), B, A)
+    return replace(spec, S=dust.sample_size, sizing=verdict)
 
 
 @dataclass(frozen=True)
@@ -178,26 +162,26 @@ class SweepEntry:
 
 def sweep_boxes(dust: CantorDust, B_list, A: int,
                 force: bool = False) -> list[SweepEntry]:
-    """Estimate one spectrum per B. A refusal of one B (its sizing or its
+    """Estimate one spectrum per distinct B and return one entry per listed
+    B, a repeated B sharing its entry. A refusal of one B (its sizing or its
     box count) is recorded in its entry and the sweep goes on; any other
     error, such as a bad bin count, applies to every B and is raised."""
-    out = []
-    for B in B_list:
+    done = {}
+    for B in dict.fromkeys(B_list):
         try:
-            out.append(SweepEntry(B, estimate(dust, B, A, force=force)))
+            done[B] = SweepEntry(B, estimate(dust, B, A, force=force))
         except (SizingViolation, BadBoxCount) as exc:
-            out.append(SweepEntry(B, None, exc))
-    return out
+            done[B] = SweepEntry(B, None, exc)
+    return [done[B] for B in B_list]
 
 
 # --- spectrum CSV ---------------------------------------------------------
 
 def format_spectrum_csv(spec: Spectrum) -> str:
-    p = spec.params
-    pairs = [("S", p.S), ("B", p.B), ("A", p.A),
-             ("epsilon_alpha", repr(p.epsilon_alpha)),
-             ("sizing", p.sizing.status.value)]
-    pairs += [("sizing_note", msg) for msg in p.sizing.messages]
+    pairs = [("S", spec.S), ("B", spec.B), ("A", spec.A),
+             ("epsilon_alpha", repr(spec.epsilon_alpha)),
+             ("sizing", spec.sizing.status.value)]
+    pairs += [("sizing_note", msg) for msg in spec.sizing.messages]
     rows = map("{!r},{!r}".format, spec.alphas.tolist(), spec.fs.tolist())
     return "".join(format_rows(pairs, rows, header="alpha,f"))
 
@@ -221,12 +205,11 @@ def read_spectrum_csv(path) -> Spectrum:
     alphas, fs = np.array(rows).T
     order = np.argsort(alphas)
     try:
-        params = SpectrumParams(
-            S=int(meta.get("S", 0)), B=int(meta.get("B", 0)),
-            A=int(meta.get("A", 0)),
+        return Spectrum(
+            alphas[order], fs[order], S=int(meta.get("S", 0)),
+            B=int(meta.get("B", 0)), A=int(meta.get("A", 0)),
             epsilon_alpha=float(meta.get("epsilon_alpha", 0.0)),
             sizing=SizingVerdict(SizingStatus(meta.get("sizing", "Ok")),
                                  notes))
-        return Spectrum(alphas[order], fs[order], params)
     except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -60,7 +60,7 @@ def render_spectra_svg(spectra, gap_threshold: float | None = None) -> str:
     ]
     for k, spec in enumerate(spectra):
         color = _COLORS[k % len(_COLORS)]
-        label = f"B={spec.params.B}"
+        label = f"B={spec.B}"
         frag = detect_fragments(spec, gap_threshold)
         out.append(f'<g class="series" data-label="{label}">')
         alphas, fs = spec.alphas, spec.fs

@@ -19,8 +19,8 @@ from mfkappa.geometry import (GeometryConfig, classify, detect_segment,
 from mfkappa.measure import CantorDust, cover
 from mfkappa.oracles import (SelfSimilarSpec, gen_farey, gen_selfsimilar,
                              gen_superposed, gen_uniform, oracle_spectrum)
-from mfkappa.spectrum import (SizingStatus, Spectrum, SpectrumParams,
-                              auto_size, estimate, validate_sizing)
+from mfkappa.spectrum import (SizingStatus, Spectrum, auto_size, estimate,
+                              validate_sizing)
 
 
 def timed(fn):
@@ -104,7 +104,7 @@ class TestCriterion2Cantor:
             feats = features(spec)
             d0 = _support_dimension(spec)
             assert dt < 1.0
-            assert spec.params.sizing.status is SizingStatus.OK
+            assert spec.sizing.status is SizingStatus.OK
             assert abs(feats.alpha_M - dim) <= 0.08, \
                 f"seed {seed}: alpha_M = {feats.alpha_M:.4f}, " \
                 f"|alpha_M - ln2/ln3| > 0.08"
@@ -142,8 +142,8 @@ class TestCriterion3BinomialOracle:
         measure leaves empty gives an infinite distance. Seed 0 gives 0.037;
         seeds 0-9 give at most 0.111 (seed 7), so the margin is thin.
         """
-        B, A = self.est.params.B, self.est.params.A
-        eps = self.est.params.epsilon_alpha
+        B, A = self.est.B, self.est.A
+        eps = self.est.epsilon_alpha
         # bins 0 and A-1 hold min and max alpha, so both ends are occupied
         a_lo = self.est.alphas[0] - 0.5 * eps
         a_hi = self.est.alphas[-1] + 0.5 * eps
@@ -329,14 +329,14 @@ def _support_dimension(spec):
 
     The histogram conserves boxes: bin k holds N_k = B^f_k of them.
     """
-    B = spec.params.B
+    B = spec.B
     return math.log(float(np.sum(np.power(float(B), spec.fs)))) / math.log(B)
 
 
 def _assert_pigeonhole(spec, f_max, d0):
     """f_max in [D0 - ln A / ln B, D0]: the fullest of at most A bins holds
     between N_occ / A and N_occ boxes."""
-    lo = d0 - math.log(spec.params.A) / math.log(spec.params.B)
+    lo = d0 - math.log(spec.A) / math.log(spec.B)
     assert lo - _ROUNDING <= f_max <= d0 + _ROUNDING, \
         f"f_max = {f_max:.4f} outside pigeonhole bracket [{lo:.4f}, {d0:.4f}]"
 
@@ -368,6 +368,6 @@ def _cascade_box_masses(spec_def, B):
 
 def _spectrum(alphas, fs):
     order = np.argsort(alphas)
-    params = SpectrumParams(S=0, B=100, A=len(alphas), epsilon_alpha=0.0)
     return Spectrum(np.asarray(alphas, float)[order],
-                    np.asarray(fs, float)[order], params)
+                    np.asarray(fs, float)[order], S=0, B=100, A=len(alphas),
+                    epsilon_alpha=0.0)

@@ -338,6 +338,20 @@ class TestSweep:
         assert all(e["error"] is None for e in report["entries"])
         assert isinstance(report["trend"], dict)
 
+    def test_repeated_box_count_is_estimated_once(self, uniform_dust,
+                                                  tmp_path, monkeypatch):
+        calls = []
+
+        def counted(dust, B, A, force=False):
+            calls.append(B)
+            return estimate(dust, B, A, force=force)
+
+        monkeypatch.setattr("mfkappa.spectrum.estimate", counted)
+        assert run("sweep", str(uniform_dust), "--boxes", "100,100",
+                   "--bins", "9", "--out-prefix",
+                   str(tmp_path / "sw")) == 0
+        assert calls == [100]
+
 
 class TestPlot:
     def spectra_files(self, tmp_path):

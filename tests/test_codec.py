@@ -53,15 +53,14 @@ def reference_format_dust(dust, header=None):
 
 
 def reference_format_spectrum_csv(spec):
-    p = spec.params
     lines = [
-        f"# S={p.S}",
-        f"# B={p.B}",
-        f"# A={p.A}",
-        f"# epsilon_alpha={p.epsilon_alpha!r}",
-        f"# sizing={p.sizing.status.value}",
+        f"# S={spec.S}",
+        f"# B={spec.B}",
+        f"# A={spec.A}",
+        f"# epsilon_alpha={spec.epsilon_alpha!r}",
+        f"# sizing={spec.sizing.status.value}",
     ]
-    for msg in p.sizing.messages:
+    for msg in spec.sizing.messages:
         lines.append(f"# sizing_note={msg}")
     lines.append("alpha,f")
     for a, f in zip(spec.alphas, spec.fs):

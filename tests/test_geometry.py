@@ -14,15 +14,14 @@ from mfkappa.geometry import (FragmentReport, GeometryConfig, IsolatedPoint,
                               cap_shape_check, classify, compare_sweep,
                               default_gap_threshold, detect_fragments,
                               detect_segment, features)
-from mfkappa.spectrum import Spectrum, SpectrumParams
+from mfkappa.spectrum import Spectrum
 
 
 def make_spectrum(alphas, fs, eps_alpha=0.0):
     order = np.argsort(alphas)
-    params = SpectrumParams(S=0, B=100, A=len(alphas),
-                            epsilon_alpha=eps_alpha)
     return Spectrum(np.asarray(alphas, float)[order],
-                    np.asarray(fs, float)[order], params)
+                    np.asarray(fs, float)[order], S=0, B=100, A=len(alphas),
+                    epsilon_alpha=eps_alpha)
 
 
 # acceleration-sweep fixture: box counts 100 and 200 on the same signal

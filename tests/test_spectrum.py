@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from mfkappa.errors import SizingViolation, TooFewSamples
 from mfkappa.measure import CantorDust, cover
 from mfkappa.oracles import gen_uniform
-from mfkappa.spectrum import (AlphaField, SizingStatus, alpha_field,
-                              auto_size, estimate, histogram_spectrum,
+from mfkappa.spectrum import (SizingStatus, alpha_field, auto_size,
+                              estimate, histogram_spectrum,
                               read_spectrum_csv, sweep_boxes,
                               validate_sizing, write_spectrum_csv)
 from mfkappa.spectrum import format_spectrum_csv
 
 
 def field_from(alphas, B):
-    a = np.asarray(alphas, dtype=float)
-    return AlphaField(alphas=a, box_count=B)
+    return np.asarray(alphas, dtype=float), B
 
 
 class TestAlphaField:
@@ -27,48 +26,48 @@ class TestAlphaField:
         m = cover(dust, 100)
         fld = alpha_field(m)
         # box holding 1/100 of the mass at box length 1/100
-        assert fld.alphas[0] == pytest.approx(1.0, abs=1e-12)
+        assert fld[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_two_for_mu_fourth_power(self):
         # mu = 1e-4 at eps_l = 1e-2
         dust = CantorDust(np.concatenate([np.full(1, 0.005),
                                           np.full(9999, 0.755)]))
         fld = alpha_field(cover(dust, 100))
-        assert fld.alphas[0] == pytest.approx(2.0, abs=1e-12)
+        assert fld[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_full_box_has_alpha_zero(self):
         fld = alpha_field(cover(CantorDust(np.array([0.345])), 100))
-        assert fld.alphas.tolist() == [0.0]
+        assert fld.tolist() == [0.0]
 
 
 class TestHistogram:
     def test_uniform_single_point(self):
         fld = field_from(np.full(100, 1.0), 100)
-        spec = histogram_spectrum(fld, 9)
+        spec = histogram_spectrum(*fld, 9)
         assert spec.points() == [(1.0, 1.0)]
 
     def test_single_box_f_zero(self):
         fld = field_from([0.7], 100)
-        spec = histogram_spectrum(fld, 9)
+        spec = histogram_spectrum(*fld, 9)
         assert spec.points() == [(0.7, 0.0)]
 
     def test_ten_boxes_is_half(self):
         fld = field_from(np.full(10, 0.8), 100)
-        spec = histogram_spectrum(fld, 5)
+        spec = histogram_spectrum(*fld, 5)
         (alpha, f), = spec.points()
         assert f == pytest.approx(0.5, abs=1e-12)
 
     def test_bin_recovery(self):
         rng = np.random.default_rng(3)
         fld = field_from(rng.uniform(0.5, 1.5, size=60), 100)
-        spec = histogram_spectrum(fld, 7)
+        spec = histogram_spectrum(*fld, 7)
         total = sum(round(100 ** f) for f in spec.fs)
         assert total == 60
 
     def test_alphas_strictly_increasing(self):
         rng = np.random.default_rng(4)
         fld = field_from(rng.uniform(0.5, 1.5, size=60), 100)
-        spec = histogram_spectrum(fld, 7)
+        spec = histogram_spectrum(*fld, 7)
         assert np.all(np.diff(spec.alphas) > 0)
 
 
@@ -103,7 +102,7 @@ class TestEstimate:
     def test_uniform_pipeline(self):
         spec = estimate(gen_uniform(10_000), 100, 9)
         assert spec.points() == [(1.0, 1.0)]
-        assert spec.params.sizing.status is SizingStatus.OK
+        assert spec.sizing.status is SizingStatus.OK
 
     def test_single_point_dust(self):
         spec = estimate(CantorDust(np.array([0.5])), 100, 9, force=True)
@@ -176,20 +175,21 @@ def test_csv_roundtrip(tmp_path):
     back = read_spectrum_csv(path)
     assert np.array_equal(back.alphas, spec.alphas)
     assert np.array_equal(back.fs, spec.fs)
-    assert back.params.B == 100 and back.params.A == 9
-    assert back.params.S == 10_000
-    assert back.params.sizing.status is SizingStatus.OK
+    assert back.B == 100 and back.A == 9
+    assert back.S == 10_000
+    assert back.sizing.status is SizingStatus.OK
 
 
 def test_csv_roundtrip_keeps_sizing_notes(tmp_path):
     # S=1e4 with B=150 lies in the Warning band sqrt(S) < B <= 2 sqrt(S)
     spec = estimate(gen_uniform(10_000, "random", 5), 150, 9)
-    assert spec.params.sizing.status is SizingStatus.WARNING
-    assert spec.params.sizing.messages
+    assert spec.sizing.status is SizingStatus.WARNING
+    assert spec.sizing.messages
     path = tmp_path / "spec.csv"
     write_spectrum_csv(spec, path)
     back = read_spectrum_csv(path)
-    assert back.params == spec.params
+    for name in ("S", "B", "A", "epsilon_alpha", "sizing"):
+        assert getattr(back, name) == getattr(spec, name)
 
 
 @st.composite
