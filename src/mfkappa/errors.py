@@ -1,4 +1,10 @@
-"""Exception hierarchy for mfkappa."""
+"""Exception hierarchy for mfkappa.
+
+Each class sets the exit code of `mfk` once, and its subclasses share it:
+MfkError 1 (input that cannot be read, FormatError included), SpecError 2
+(a bad generator spec, flag or box count, BadBoxCount included) and
+SizingViolation 3. A class exists only where a caller tells it apart.
+"""
 
 
 class MfkError(Exception):
@@ -7,24 +13,8 @@ class MfkError(Exception):
     exit_code = 1
 
 
-class EmptySignal(MfkError):
-    """Dust has no points."""
-
-
-class BadBoxCount(MfkError):
-    """Box count below the minimum of 2."""
-
-    exit_code = 2
-
-
-class TooFewSamples(MfkError):
-    """Sample too small for the auto-sizing rule."""
-
-
-class SizingViolation(MfkError):
-    """Sample/box/bin sizing inequality violated and not overridden."""
-
-    exit_code = 3
+class FormatError(MfkError):
+    """Malformed input file."""
 
 
 class SpecError(MfkError):
@@ -33,17 +23,12 @@ class SpecError(MfkError):
     exit_code = 2
 
 
-class TooFewPoints(MfkError):
-    """Not enough spectrum points for the requested analysis."""
+class BadBoxCount(SpecError):
+    """Box count below 2, or one whose B + 1 box edges would pass the
+    largest array length."""
 
 
-class NeedsSweep(MfkError):
-    """Trend comparison requires at least two feature sets."""
+class SizingViolation(MfkError):
+    """Sample/box/bin sizing inequality violated and not overridden."""
 
-
-class DepthTooLarge(SpecError):
-    """Cascade depth would underflow interval lengths."""
-
-
-class FormatError(MfkError):
-    """Malformed input file."""
+    exit_code = 3

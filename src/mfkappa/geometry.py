@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NeedsSweep, SpecError, TooFewPoints
+from .errors import MfkError, SpecError
 from .spectrum import Spectrum
 
 
@@ -96,7 +96,7 @@ def features(spectrum: Spectrum) -> SpectrumFeatures:
     """Extract the curve summary; at equal f_max the smaller alpha wins."""
     alphas, fs = spectrum.alphas, spectrum.fs
     if fs.size == 0:
-        raise TooFewPoints("features need >= 1 point, got 0")
+        raise MfkError("features need >= 1 point, got 0")
     k = int(np.argmax(fs))  # argmax takes the first max: the smaller alpha
     return SpectrumFeatures(
         alpha_min=float(alphas[0]),
@@ -115,7 +115,7 @@ def compare_sweep(features_list) -> dict:
     decreases along the whole sweep: the left-and-up shift of the curve.
     """
     if len(features_list) < 2:
-        raise NeedsSweep("trend comparison needs >= 2 feature sets")
+        raise MfkError("trend comparison needs >= 2 feature sets")
     first, last = features_list[0], features_list[-1]
     gaps = [f.bisectrix_gap for f in features_list]
     return {
@@ -134,7 +134,7 @@ def cap_shape_check(spectrum: Spectrum,
     fs = spectrum.fs
     n = fs.size
     if n < 3:
-        raise TooFewPoints(f"cap test needs >= 3 points, got {n}")
+        raise MfkError(f"cap test needs >= 3 points, got {n}")
     # x - tol is monotone under rounding, so min(a, b) - tol is exactly
     # min(a - tol, b - tol): below both neighbours' bounds at once
     valleys = fs[1:-1] < np.minimum(fs[:-2], fs[2:]) - tol

@@ -19,12 +19,20 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import BadBoxCount, EmptySignal, FormatError
+from .errors import BadBoxCount, FormatError, SpecError
 
 _CHUNK_LINES = 1 << 16  # format_rows' chunk: about 1.3 MB of dust text
 
 
-@dataclass(frozen=True)
+def _check_array_size(n: int, what: str, error=SpecError) -> None:
+    """Refuse what, an array of n elements, when n is past the largest
+    length an array can have."""
+    if n > np.iinfo(np.intp).max:
+        raise error(f"{what} exceeds the largest array length, "
+                    f"{np.iinfo(np.intp).max}")
+
+
+@dataclass(frozen=True, eq=False)
 class CantorDust:
     """Finite sorted point set in [0,1]; the empirical fractal sample."""
 
@@ -33,7 +41,7 @@ class CantorDust:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0:
-            raise EmptySignal("dust must contain at least one point")
+            raise FormatError("dust must contain at least one point")
         pts = np.sort(pts)
         if not (pts[0] >= 0.0 and pts[-1] <= 1.0):  # NaN sorts last
             raise FormatError("dust points must lie in [0,1]")
@@ -44,7 +52,7 @@ class CantorDust:
         return int(self.points.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NaturalMeasure:
     """Per-box probabilities over B equal boxes covering [0,1], from any
     nonnegative mass per box: point counts or exact weights alike."""
@@ -75,6 +83,7 @@ def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     """
     if B < 2:
         raise BadBoxCount(f"need at least 2 boxes, got {B}")
+    _check_array_size(B + 1, f"box count {B} plus one edge", BadBoxCount)
     points = dust.points
     S = points.size
     boxes = np.arange(B + 1)

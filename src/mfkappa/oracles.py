@@ -16,20 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthTooLarge, SpecError
-from .measure import CantorDust
+from .errors import SpecError
+from .measure import CantorDust, _check_array_size
 
 # cascade interval lengths must stay above double-precision underflow
 _MAX_LOG_SHRINK = 690.0
 # cascade levels tabulated by _cascade_points: 2^16 paths, a 1 MB table
 _TABLE_LEVELS = 16
-
-
-def _check_array_size(S: int) -> None:
-    """Refuse a sample size past the largest length an array can have."""
-    if S > np.iinfo(np.intp).max:
-        raise SpecError(f"sample size {S} exceeds the largest array length, "
-                        f"{np.iinfo(np.intp).max}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,7 @@ class SelfSimilarSpec:
             raise SpecError("depth must be >= 1")
         if not self.S >= 1:
             raise SpecError("sample size must be >= 1")
-        _check_array_size(self.S)
+        _check_array_size(self.S, f"sample size {self.S}")
         if not self.seed >= 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
 
@@ -75,7 +68,7 @@ class SelfSimilarSpec:
                    **{key: int(v) for key, v in counts.items()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSpectrum:
     """Theoretical (alpha(q), f(q)) curve over a q grid."""
 
@@ -103,8 +96,7 @@ def _cascade_points(spec: SelfSimilarSpec, n: int,
     p1 = spec.p[0]
     r1, r2 = spec.r
     if spec.depth * math.log(1.0 / min(r1, r2)) > _MAX_LOG_SHRINK:
-        raise DepthTooLarge(
-            f"depth {spec.depth} underflows interval lengths")
+        raise SpecError(f"depth {spec.depth} underflows interval lengths")
     k = min(spec.depth, _TABLE_LEVELS)
     lo, length = np.zeros(1), np.ones(1)
     for _ in range(k):  # path c's children sit at 2c (child 1) and 2c + 1
@@ -146,7 +138,7 @@ def gen_superposed(spec_a: SelfSimilarSpec, spec_b: SelfSimilarSpec,
     if not 0.0 < mix < 1.0:
         raise SpecError(f"mix must lie strictly in (0,1), got {mix}")
     total = spec_a.S + spec_b.S
-    _check_array_size(total)
+    _check_array_size(total, f"sample size {total}")
     n_a = round(mix * total)
     n_b = total - n_a
     pts_a = _cascade_points(spec_a, n_a, np.random.default_rng(spec_a.seed))
@@ -190,6 +182,8 @@ def gen_farey(Q: int) -> CantorDust:
     """All reduced fractions p/q in [0,1] with denominator q <= Q."""
     if Q < 2:
         raise SpecError(f"max denominator must be >= 2, got {Q}")
+    size = 2 + Q * (Q - 1) // 2  # 0, 1 and at most q - 1 fractions per q
+    _check_array_size(size, f"Farey dust of Q={Q} (up to {size} points)")
     fracs = [np.array([0.0, 1.0])]
     for den in range(2, Q + 1):
         num = np.arange(1, den)
@@ -202,7 +196,7 @@ def gen_uniform(S: int, mode: str = "equispaced",
     """Uniform dust: equispaced midpoints (k+0.5)/S or S i.i.d. draws."""
     if S < 1:
         raise SpecError(f"sample size must be >= 1, got {S}")
-    _check_array_size(S)
+    _check_array_size(S, f"sample size {S}")
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     if mode == "equispaced":

@@ -18,9 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import (BadBoxCount, FormatError, MfkError, SizingViolation,
-                     SpecError, TooFewSamples)
-from .measure import (CantorDust, NaturalMeasure, atomic_write, cover,
-                      format_rows, read_rows)
+                     SpecError)
+from .measure import (CantorDust, NaturalMeasure, _check_array_size,
+                      atomic_write, cover, format_rows, read_rows)
 
 
 class SizingStatus(str, Enum):
@@ -35,7 +35,7 @@ class SizingVerdict:
     messages: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Finite (alpha, f) point list, alphas strictly increasing, with the
     sizes it was estimated at: sample size S, box count B, bin count A and
@@ -69,9 +69,6 @@ class Spectrum:
     def __len__(self) -> int:
         return int(self.alphas.size)
 
-    def points(self):
-        return list(zip(self.alphas.tolist(), self.fs.tolist()))
-
 
 def alpha_field(measure: NaturalMeasure) -> np.ndarray:
     """Compute alpha = ln(mu)/ln(eps_l) for every occupied box."""
@@ -89,6 +86,7 @@ def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
     """
     if A < 1:
         raise SpecError(f"bin count must be >= 1, got {A}")
+    _check_array_size(A, f"bin count {A}")
     if alphas.size == 0:
         raise ValueError("alpha field is empty")
     a_lo = float(alphas.min())
@@ -137,7 +135,7 @@ def validate_sizing(S: int, B: int, A: int) -> SizingVerdict:
 def auto_size(S: int) -> tuple[int, int]:
     """Pick B = floor(sqrt(S)) and A slightly below sqrt(B), floored at 3."""
     if S < 16:
-        raise TooFewSamples(f"auto-sizing needs S >= 16, got {S}")
+        raise MfkError(f"auto-sizing needs S >= 16, got {S}")
     B = math.isqrt(S)
     A = max(3, math.isqrt(B) - 1)
     return B, A

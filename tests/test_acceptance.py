@@ -34,7 +34,7 @@ def timed(fn):
 class TestCriterion1Uniform:
     def test_equispaced_exact_point(self):
         spec, dt = timed(lambda: estimate(gen_uniform(10_000), 100, 9))
-        assert spec.points() == [(1.0, 1.0)]
+        assert spec.alphas.tolist() == [1.0] and spec.fs.tolist() == [1.0]
         assert dt < 1.0
 
     def test_random_uniform_ten_seeds(self):

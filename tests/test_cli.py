@@ -394,7 +394,7 @@ class TestErrorContract:
     'error:' line and no traceback."""
 
     DOCUMENTED = {errors.SpecError: 2, errors.BadBoxCount: 2,
-                  errors.DepthTooLarge: 2, errors.SizingViolation: 3}
+                  errors.SizingViolation: 3}
 
     def test_exit_code_on_every_error_class(self):
         seen, todo = [], [errors.MfkError]
@@ -437,6 +437,14 @@ class TestErrorContract:
          "--out", "{tmp}/s.txt"],
         ["generate", "uniform", "--mode", "random", "--S",
          "10000000000000000000", "--out", "{tmp}/u.txt"],
+        ["analyze", "{dust}", "--boxes", "99999999999999999999999",
+         "--bins", "3", "--force"],
+        ["analyze", "{dust}", "--boxes", "100",
+         "--bins", "99999999999999999999999", "--force"],
+        ["sweep", "{dust}", "--boxes", "99999999999999999999999",
+         "--bins", "3", "--force", "--out-prefix", "{tmp}/sw"],
+        ["generate", "farey", "--Q", "100000000000000000000",
+         "--out", "{tmp}/f.txt"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
             "cap-tol-negative", "segment-tol-inf", "cap-tol-inf",
@@ -444,7 +452,9 @@ class TestErrorContract:
             "sweep-bins-0", "sweep-boxes-1", "selfsimilar-seed-negative",
             "uniform-seed-negative", "equispaced-seed",
             "equispaced-seed-0", "selfsimilar-depth-underflows",
-            "selfsimilar-S-past-intp", "uniform-S-past-intp"])
+            "selfsimilar-S-past-intp", "uniform-S-past-intp",
+            "boxes-past-intp", "bins-past-intp", "sweep-boxes-past-intp",
+            "farey-Q-past-intp"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfkappa.errors import NeedsSweep, TooFewPoints
+from mfkappa.errors import MfkError
 from mfkappa.geometry import (FragmentReport, GeometryConfig, IsolatedPoint,
                               SegmentReport, SpectrumFeatures,
                               _line_fit_residual, _window_screen,
@@ -65,10 +65,11 @@ class TestFeatures:
 
     def test_empty_spectrum_refused(self):
         s = make_spectrum([], [])
-        with pytest.raises(TooFewPoints):
-            features(s)
-        with pytest.raises(TooFewPoints):
-            classify(s)
+        for stage in (features, classify):
+            with pytest.raises(MfkError, match="features need >= 1 point, "
+                               "got 0") as exc:
+                stage(s)
+            assert exc.value.exit_code == 1
 
 
 class TestCompareSweep:
@@ -95,8 +96,10 @@ class TestCompareSweep:
         assert not trend["approaching_bisectrix"]
 
     def test_needs_two_entries(self):
-        with pytest.raises(NeedsSweep):
+        with pytest.raises(MfkError, match="trend comparison needs >= 2 "
+                           "feature sets") as exc:
             compare_sweep([features(TABLE1_B100)])
+        assert exc.value.exit_code == 1
 
 
 class TestCapShape:
@@ -114,8 +117,10 @@ class TestCapShape:
             make_spectrum([0.9, 1.0, 1.1], [0.1, 0.2, 0.5]), tol=0.02)
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(MfkError, match="cap test needs >= 3 points, "
+                           "got 2") as exc:
             cap_shape_check(make_spectrum([0.9, 1.0], [0.1, 0.2]))
+        assert exc.value.exit_code == 1
 
 
 def cap_with_run():
@@ -516,8 +521,10 @@ class TestAgainstReference:
         rejected = 0
         for spec, cfg in fuzz_reports(42, 3000):
             if len(spec) < 3:
-                with pytest.raises(TooFewPoints):
+                with pytest.raises(MfkError, match="cap test needs >= 3 "
+                                   f"points, got {len(spec)}") as exc:
                     cap_shape_check(spec, cfg.tol)
+                assert exc.value.exit_code == 1
                 continue
             new = cap_shape_check(spec, cfg.tol)
             assert type(new) is bool

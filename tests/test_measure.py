@@ -4,14 +4,16 @@ import stat
 import numpy as np
 import pytest
 
-from mfkappa.errors import BadBoxCount, EmptySignal, FormatError
+from mfkappa.errors import BadBoxCount, FormatError
 from mfkappa.measure import (CantorDust, atomic_write, cover, read_dust,
                              write_dust)
 
 
 def test_empty_signal_rejected():
-    with pytest.raises(EmptySignal):
+    with pytest.raises(FormatError,
+                       match="dust must contain at least one point") as exc:
         CantorDust(np.array([]))
+    assert exc.value.exit_code == 1
 
 
 def test_cover_direct_count():
@@ -34,6 +36,14 @@ def test_cover_last_box_closed():
 def test_cover_rejects_tiny_box_count():
     with pytest.raises(BadBoxCount):
         cover(CantorDust(np.array([0.5])), 1)
+
+
+def test_cover_rejects_box_edges_past_the_array_length():
+    B = int(np.iinfo(np.intp).max)  # B + 1 edges are one too many
+    with pytest.raises(BadBoxCount, match=f"box count {B} plus one edge "
+                       "exceeds the largest array length") as exc:
+        cover(CantorDust(np.array([0.5])), B)
+    assert exc.value.exit_code == 2
 
 
 @pytest.mark.parametrize("seed", range(20))

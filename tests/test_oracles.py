@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mfkappa.errors import DepthTooLarge, SpecError
+from mfkappa.errors import SpecError
 from mfkappa.measure import CantorDust
 from mfkappa.oracles import (_TABLE_LEVELS, SelfSimilarSpec, _cascade_points,
                              gen_farey, gen_selfsimilar, gen_superposed,
@@ -65,16 +65,20 @@ class TestSelfSimilarGen:
     def test_depth_guard(self):
         spec = SelfSimilarSpec(p=(0.5, 0.5), r=(0.01, 0.01), depth=200,
                                S=10)
-        with pytest.raises(DepthTooLarge):
+        with pytest.raises(SpecError, match="depth 200 underflows interval "
+                           "lengths") as exc:
             gen_selfsimilar(spec)
+        assert exc.value.exit_code == 2
 
     def test_depth_guard_runs_before_any_table(self):
         spec = SelfSimilarSpec(p=(0.5, 0.5), r=(0.01, 0.01), depth=200,
                                S=10)
         tracemalloc.start()
         try:
-            with pytest.raises(DepthTooLarge):
+            with pytest.raises(SpecError, match="depth 200 underflows "
+                               "interval lengths") as exc:
                 gen_selfsimilar(spec)
+            assert exc.value.exit_code == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,9 @@
+import builtins
 import importlib
 import re
 from pathlib import Path
+
+from mfkappa import errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +37,34 @@ def test_modules_table_check_catches_a_removed_name():
     assert stale != text
     assert missing_module_names(stale) == [("mfkappa.geometry",
                                             "CapShapeResult")]
+
+
+def exit_code_mismatches(text):
+    """(unknown, unnamed): the backticked class names of the exit-code
+    paragraph that are neither a builtin exception nor in mfkappa.errors,
+    and the MfkError classes that the paragraph does not name."""
+    paragraph = text.split("\nExit codes:", 1)[1].split("\n\n", 1)[0]
+    named = {span for span in re.findall(r"`([^`]+)`", paragraph)
+             if re.fullmatch(r"[A-Z]\w*[a-z]\w*", span)}  # not `S` or `B`
+    known = {**vars(builtins), **vars(errors)}
+    unknown = sorted(name for name in named
+                     if not (isinstance(known.get(name), type)
+                             and issubclass(known[name], BaseException)))
+    classes, todo = set(), [errors.MfkError]
+    while todo:
+        cls = todo.pop()
+        classes.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return unknown, sorted(classes - named)
+
+
+def test_exit_code_paragraph_names_every_error_class():
+    assert exit_code_mismatches(README.read_text()) == ([], [])
+
+
+def test_exit_code_check_catches_a_stale_name():
+    text = README.read_text()
+    stale = text.replace("its subclass `FormatError`",
+                         "its subclass `EmptySignal`", 1)
+    assert stale != text
+    assert exit_code_mismatches(stale) == (["EmptySignal"], ["FormatError"])

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mfkappa.errors import SizingViolation, TooFewSamples
+from mfkappa.errors import BadBoxCount, MfkError, SizingViolation
 from mfkappa.measure import CantorDust, cover
-from mfkappa.oracles import gen_uniform
+from mfkappa.oracles import SelfSimilarSpec, gen_uniform, oracle_spectrum
 from mfkappa.spectrum import (SizingStatus, alpha_field, auto_size,
                               estimate, histogram_spectrum,
                               read_spectrum_csv, sweep_boxes,
@@ -44,18 +44,25 @@ class TestHistogram:
     def test_uniform_single_point(self):
         fld = field_from(np.full(100, 1.0), 100)
         spec = histogram_spectrum(*fld, 9)
-        assert spec.points() == [(1.0, 1.0)]
+        assert spec.alphas.tolist() == [1.0] and spec.fs.tolist() == [1.0]
 
     def test_single_box_f_zero(self):
         fld = field_from([0.7], 100)
         spec = histogram_spectrum(*fld, 9)
-        assert spec.points() == [(0.7, 0.0)]
+        assert spec.alphas.tolist() == [0.7] and spec.fs.tolist() == [0.0]
 
     def test_ten_boxes_is_half(self):
         fld = field_from(np.full(10, 0.8), 100)
         spec = histogram_spectrum(*fld, 5)
-        (alpha, f), = spec.points()
+        (alpha,), (f,) = spec.alphas.tolist(), spec.fs.tolist()
         assert f == pytest.approx(0.5, abs=1e-12)
+
+    def test_bin_count_past_the_array_length_refused(self):
+        A = int(np.iinfo(np.intp).max) + 1
+        with pytest.raises(MfkError, match=f"bin count {A} exceeds the "
+                           "largest array length") as exc:
+            histogram_spectrum(*field_from([0.7, 0.9], 100), A)
+        assert exc.value.exit_code == 2
 
     def test_bin_recovery(self):
         rng = np.random.default_rng(3)
@@ -94,19 +101,21 @@ class TestSizing:
         assert auto_size(1_000_000) == (1000, 30)
 
     def test_auto_size_too_small(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(MfkError, match="auto-sizing needs S >= 16, "
+                           "got 15") as exc:
             auto_size(15)
+        assert exc.value.exit_code == 1
 
 
 class TestEstimate:
     def test_uniform_pipeline(self):
         spec = estimate(gen_uniform(10_000), 100, 9)
-        assert spec.points() == [(1.0, 1.0)]
+        assert spec.alphas.tolist() == [1.0] and spec.fs.tolist() == [1.0]
         assert spec.sizing.status is SizingStatus.OK
 
     def test_single_point_dust(self):
         spec = estimate(CantorDust(np.array([0.5])), 100, 9, force=True)
-        (alpha, f), = spec.points()
+        (alpha,), (f,) = spec.alphas.tolist(), spec.fs.tolist()
         assert alpha == 0.0 and f == 0.0
 
     def test_violation_refused_without_force(self):
@@ -154,6 +163,13 @@ class TestSweep:
         assert isinstance(entries[0].error, SizingViolation)
         assert entries[1].spectrum is not None
 
+    def test_box_count_past_the_array_length_is_refused(self):
+        entries = sweep_boxes(gen_uniform(10_000), [10 ** 23, 100], 9,
+                              force=True)
+        assert entries[0].spectrum is None
+        assert isinstance(entries[0].error, BadBoxCount)
+        assert entries[1].spectrum is not None
+
     def test_order_follows_b_list(self):
         dust = gen_uniform(10_000)
         entries = sweep_boxes(dust, [150, 100], 9)
@@ -166,6 +182,19 @@ class TestSweep:
         monkeypatch.setattr("mfkappa.spectrum.estimate", broken)
         with pytest.raises(TypeError):
             sweep_boxes(gen_uniform(10_000), [100], 9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_uniform(10_000, "random", seed=1),
+    lambda: cover(gen_uniform(10_000, "random", seed=1), 100),
+    lambda: estimate(gen_uniform(10_000, "random", seed=1), 100, 9),
+    lambda: oracle_spectrum(SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), 8, 100),
+                            [-1.0, 0.0, 1.0]),
+], ids=["CantorDust", "NaturalMeasure", "Spectrum", "OracleSpectrum"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and hash(a) != hash(b)
 
 
 def test_csv_roundtrip(tmp_path):
