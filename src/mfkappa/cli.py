@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import geometry, oracles, spectrum
 from .errors import MfkError, SizingViolation, SpecError
@@ -53,35 +53,34 @@ def _load_spec(path) -> oracles.SelfSimilarSpec:
             raise SpecError(f"{path}: bad spec: {type(exc).__name__}: {exc}")
 
 
-# Each generator maps its kind's flags to (dust, header).
+# Each generator maps its kind's flags to (dust, header); cmd_generate adds
+# the kind.
 def _selfsimilar(args):
     r2 = args.r if args.r2 is None else args.r2
     spec = oracles.SelfSimilarSpec(p=(args.p, 1.0 - args.p), r=(args.r, r2),
                                    depth=args.depth, S=args.S,
                                    seed=args.seed or 0)
-    return oracles.gen_selfsimilar(spec), {
-        "kind": "selfsimilar", "spec": json.dumps(spec.as_dict())}
+    return oracles.gen_selfsimilar(spec), {"spec": json.dumps(asdict(spec))}
 
 
 def _superposed(args):
     spec_a, spec_b = _load_spec(args.spec_a), _load_spec(args.spec_b)
     dust = oracles.gen_superposed(spec_a, spec_b, args.mix,
                                   disjoint=args.disjoint)
-    return dust, {"kind": "superposed", "mix": args.mix,
-                  "disjoint": args.disjoint,
-                  "spec_a": json.dumps(spec_a.as_dict()),
-                  "spec_b": json.dumps(spec_b.as_dict())}
+    return dust, {"mix": args.mix, "disjoint": args.disjoint,
+                  "spec_a": json.dumps(asdict(spec_a)),
+                  "spec_b": json.dumps(asdict(spec_b))}
 
 
 def _farey(args):
-    return oracles.gen_farey(args.Q), {"kind": "farey", "Q": args.Q}
+    return oracles.gen_farey(args.Q), {"Q": args.Q}
 
 
 def _uniform(args):
     if args.mode == "equispaced" and args.seed is not None:
         raise SpecError("--seed needs --mode random: equispaced dusts "
                         "draw nothing")
-    header = {"kind": "uniform", "S": args.S, "mode": args.mode}
+    header = {"S": args.S, "mode": args.mode}
     if args.mode == "random":
         header["seed"] = args.seed or 0
     dust = oracles.gen_uniform(args.S, mode=args.mode, seed=args.seed or 0)
@@ -90,7 +89,7 @@ def _uniform(args):
 
 def cmd_generate(args) -> None:
     dust, header = args.make(args)
-    write_dust(dust, args.out, header=header)
+    write_dust(dust, args.out, header={"kind": args.kind, **header})
 
 
 def _resolve_sizing(args, S: int) -> tuple[int, int]:

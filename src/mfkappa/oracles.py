@@ -53,19 +53,18 @@ class SelfSimilarSpec:
         if not self.seed >= 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
 
-    def as_dict(self) -> dict:
-        return {"p": list(self.p), "r": list(self.r), "depth": self.depth,
-                "S": self.S, "seed": self.seed}
-
     @classmethod
     def from_dict(cls, d: dict) -> "SelfSimilarSpec":
-        counts = {"depth": d["depth"], "S": d["S"], "seed": d.get("seed", 0)}
-        for key, v in counts.items():
+        """The spec a JSON object states: the constructor refuses a key that
+        is not a field, and a missing field."""
+        d = {**d, **{key: tuple(d[key]) for key in ("p", "r") if key in d}}
+        for key in [key for key in ("depth", "S", "seed") if key in d]:
+            v = d[key]
             # 1e6 is a count; 12.7 is not, nor is true, though int(True) == 1
             if isinstance(v, bool) or int(v) != v:
                 raise SpecError(f"{key} must be an integer, got {v!r}")
-        return cls(p=tuple(d["p"]), r=tuple(d["r"]),
-                   **{key: int(v) for key, v in counts.items()})
+            d[key] = int(v)
+        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,16 +178,24 @@ def oracle_spectrum(spec: SelfSimilarSpec, q_grid) -> OracleSpectrum:
 
 
 def gen_farey(Q: int) -> CantorDust:
-    """All reduced fractions p/q in [0,1] with denominator q <= Q."""
+    """All reduced fractions p/q in [0,1] with denominator q <= Q, counted
+    by a totient sieve so that the dust is allocated once, before the fill."""
     if Q < 2:
         raise SpecError(f"max denominator must be >= 2, got {Q}")
     size = 2 + Q * (Q - 1) // 2  # 0, 1 and at most q - 1 fractions per q
     _check_array_size(size, f"Farey dust of Q={Q} (up to {size} points)")
-    fracs = [np.array([0.0, 1.0])]
+    phi = np.arange(Q + 1)  # Euler's totient: phi[q] fractions p/q
+    for p in range(2, Q + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
+    points = np.empty(2 + int(phi[2:].sum()))
+    points[:2] = 0.0, 1.0
+    at = 2
     for den in range(2, Q + 1):
         num = np.arange(1, den)
-        fracs.append(num[np.gcd(num, den) == 1] / den)
-    return CantorDust(np.concatenate(fracs))
+        points[at:at + phi[den]] = num[np.gcd(num, den) == 1] / den
+        at += phi[den]
+    return CantorDust(points)
 
 
 def gen_uniform(S: int, mode: str = "equispaced",

@@ -133,12 +133,13 @@ def validate_sizing(S: int, B: int, A: int) -> SizingVerdict:
 
 
 def auto_size(S: int) -> tuple[int, int]:
-    """Pick B = floor(sqrt(S)) and A slightly below sqrt(B), floored at 3."""
+    """Pick B = floor(sqrt(S)) and A slightly below sqrt(B), floored at 3
+    but never past floor(sqrt(B)), so that the pair sizes Ok."""
     if S < 16:
         raise MfkError(f"auto-sizing needs S >= 16, got {S}")
     B = math.isqrt(S)
-    A = max(3, math.isqrt(B) - 1)
-    return B, A
+    root = math.isqrt(B)
+    return B, min(max(3, root - 1), root)
 
 
 def estimate(dust: CantorDust, B: int, A: int, force: bool = False) -> Spectrum:

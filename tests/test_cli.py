@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -169,6 +170,50 @@ def test_seed_in_header_only_where_drawn(tmp_path):
                                  "mode": "random", "seed": "0"}
 
 
+# Spec files with float counts and with seed left to its default; each
+# header line writes the spec as its dataclass fields.
+SPEC_A = ('{"p": [0.3, 0.7], "r": [0.5, 0.5], "depth": 5.0, "S": 5e2, '
+          '"seed": 3}')
+SPEC_B = ('{"p": [0.5, 0.5], "r": [0.3333333333333333, 0.2], "depth": 6, '
+          '"S": 40}')
+SPEC_LINES = [
+    '# spec_a={"p": [0.3, 0.7], "r": [0.5, 0.5], "depth": 5, "S": 500, '
+    '"seed": 3}',
+    '# spec_b={"p": [0.5, 0.5], "r": [0.3333333333333333, 0.2], "depth": 6, '
+    '"S": 40, "seed": 0}']
+
+
+@pytest.mark.parametrize("argv,header", [
+    (["selfsimilar", "--p", "0.3", "--r", "0.4", "--r2", "0.25", "--depth",
+      "9", "--S", "50", "--seed", "4"],
+     ["# kind=selfsimilar",
+      '# spec={"p": [0.3, 0.7], "r": [0.4, 0.25], "depth": 9, "S": 50, '
+      '"seed": 4}']),
+    (["superposed", "--spec-a", "{tmp}/a.json", "--spec-b", "{tmp}/b.json",
+      "--mix", "0.4"],
+     ["# kind=superposed", "# mix=0.4", "# disjoint=False", *SPEC_LINES]),
+    (["superposed", "--spec-a", "{tmp}/a.json", "--spec-b", "{tmp}/b.json",
+      "--disjoint"],
+     ["# kind=superposed", "# mix=0.5", "# disjoint=True", *SPEC_LINES]),
+    (["farey", "--Q", "5"], ["# kind=farey", "# Q=5"]),
+    (["uniform", "--S", "30"],
+     ["# kind=uniform", "# S=30", "# mode=equispaced"]),
+    (["uniform", "--mode", "random", "--S", "30", "--seed", "9"],
+     ["# kind=uniform", "# S=30", "# mode=random", "# seed=9"]),
+], ids=["selfsimilar", "superposed", "superposed-disjoint", "farey",
+        "uniform-equispaced", "uniform-random"])
+def test_generate_header_bytes(argv, header, tmp_path):
+    (tmp_path / "a.json").write_text(SPEC_A)
+    (tmp_path / "b.json").write_text(SPEC_B)
+    out = tmp_path / "out.txt"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run("generate", *argv, "--out", str(out)) == 0
+    text = out.read_bytes()
+    expected = "".join(f"{line}\n" for line in header).encode()
+    assert text[:len(expected)] == expected
+    assert b"#" not in text[len(expected):]
+
+
 class TestAnalyze:
     def test_auto_size_header_and_row(self, uniform_dust, tmp_path):
         out = tmp_path / "spec.csv"
@@ -181,6 +226,15 @@ class TestAnalyze:
         rows = [l for l in text.splitlines()
                 if l and not l.startswith("#") and l != "alpha,f"]
         assert rows == ["1.0,1.0"]
+
+    def test_auto_size_of_a_small_dust_sizes_ok(self, tmp_path):
+        dust, out = tmp_path / "d.txt", tmp_path / "spec.csv"
+        assert run("generate", "uniform", "--S", "50", "--out", str(dust)) == 0
+        assert run("analyze", str(dust), "--auto-size",
+                   "--out", str(out)) == 0
+        text = out.read_text()
+        assert "# B=7" in text and "# A=2" in text
+        assert "# sizing=Ok" in text
 
     def test_warning_band_exits_zero(self, uniform_dust, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -488,6 +542,25 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
 
+    def test_farey_past_memory_fails_at_once(self, tmp_path):
+        # Q = 1e5 has about 3e9 points (24 GB): the dust is sized before it
+        # is filled, so its one allocation fails at once under a 1 GiB cap
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        out = tmp_path / "f.txt"
+        src = os.path.dirname(os.path.dirname(mfkappa.__file__))
+        # one BLAS thread, so that thread stacks fit the cap on any host
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfkappa.cli", "generate", "farey",
+             "--Q", "100000", "--out", str(out)], capture_output=True,
+            text=True, env=env, preexec_fn=cap_address_space, timeout=5)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         '{"p": [0.5, 0.5], "depth": 4, "S": 10}',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "dep',
@@ -502,10 +575,12 @@ class TestErrorContract:
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": true}',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 10, '
         '"seed": true}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 10, "sed": 5}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "S": 10}',
     ], ids=["missing-r", "truncated", "json-list", "depth-not-int",
             "seed-negative", "depth-fractional", "S-fractional",
             "seed-fractional", "S-infinite", "depth-bool", "S-bool",
-            "seed-bool"])
+            "seed-bool", "unknown-key", "missing-depth"])
     @pytest.mark.parametrize("flag", ["--spec-b", "--spec-a"])
     def test_bad_spec_file_exits_2(self, text, flag, tmp_path):
         bad = tmp_path / "bad.json"

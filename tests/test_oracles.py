@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -51,9 +52,20 @@ class TestSelfSimilarGen:
     def test_from_dict_takes_whole_float_counts(self):
         spec = SelfSimilarSpec.from_dict(
             {**MIDDLE_THIRD, "depth": 4.0, "S": 1e6, "seed": 2.0})
-        assert spec.as_dict() == {"p": [0.5, 0.5], "r": [1 / 3, 1 / 3],
-                                  "depth": 4, "S": 1_000_000, "seed": 2}
+        assert asdict(spec) == {"p": (0.5, 0.5), "r": (1 / 3, 1 / 3),
+                                "depth": 4, "S": 1_000_000, "seed": 2}
         assert all(type(v) is int for v in (spec.depth, spec.S, spec.seed))
+
+    def test_from_dict_keys_are_the_fields(self):
+        d = {**MIDDLE_THIRD, "depth": 4, "S": 10}
+        assert SelfSimilarSpec.from_dict(d).seed == 0  # the field default
+        with pytest.raises(TypeError, match="unexpected keyword "
+                           "argument 'sed'"):
+            SelfSimilarSpec.from_dict({**d, "sed": 5})
+        del d["depth"]
+        with pytest.raises(TypeError, match="missing 1 required positional "
+                           "argument: 'depth'"):
+            SelfSimilarSpec.from_dict(d)
 
     def test_determinism(self):
         spec = SelfSimilarSpec(p=(0.3, 0.7), r=(0.5, 0.5), depth=13,
@@ -427,6 +439,12 @@ class TestFarey:
                                     for q in range(1, Q + 1)
                                     for p in range(0, q + 1)}))
         assert gen_farey(Q).points.tobytes() == expected.tobytes()
+
+    def test_count_matches_gcd_count_up_to_100(self):
+        count = 2  # 0/1 and 1/1
+        for Q in range(2, 101):
+            count += sum(math.gcd(p, Q) == 1 for p in range(1, Q))
+            assert gen_farey(Q).sample_size == count, Q
 
     def test_count_200(self):
         assert gen_farey(200).sample_size == 12233

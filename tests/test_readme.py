@@ -1,9 +1,10 @@
 import builtins
 import importlib
 import re
+import shlex
 from pathlib import Path
 
-from mfkappa import errors
+from mfkappa import cli, errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -68,3 +69,31 @@ def test_exit_code_check_catches_a_stale_name():
                          "its subclass `EmptySignal`", 1)
     assert stale != text
     assert exit_code_mismatches(stale) == (["EmptySignal"], ["FormatError"])
+
+
+def refused_cli_lines(text):
+    """The `mfk` lines of the CLI section's first block that the parser of
+    the mfk command refuses."""
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("mfk ")]
+    assert lines
+    refused = []
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except errors.SpecError:  # how the parser reports a bad flag
+            refused.append(line)
+    return refused
+
+
+def test_cli_block_parses():
+    assert refused_cli_lines(README.read_text()) == []
+
+
+def test_cli_block_check_catches_a_stale_flag():
+    text = README.read_text()
+    line = next(line for line in text.splitlines()
+                if line.startswith("mfk generate selfsimilar "))
+    stale = text.replace(line, line + " --spec a.json", 1)
+    assert stale != text
+    assert refused_cli_lines(stale) == [line + " --spec a.json"]

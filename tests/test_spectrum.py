@@ -97,8 +97,13 @@ class TestSizing:
 
     def test_auto_size(self):
         assert auto_size(10_000) == (100, 9)
-        assert auto_size(16) == (4, 3)
+        assert auto_size(16) == (4, 2)  # A <= sqrt(B), so B >= A^2 holds
         assert auto_size(1_000_000) == (1000, 30)
+
+    def test_auto_size_sizes_ok(self):
+        for S in range(16, 300_001):
+            B, A = auto_size(S)
+            assert validate_sizing(S, B, A).status is SizingStatus.OK, S
 
     def test_auto_size_too_small(self):
         with pytest.raises(MfkError, match="auto-sizing needs S >= 16, "
