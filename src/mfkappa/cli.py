@@ -48,8 +48,7 @@ def _load_spec(path) -> oracles.SelfSimilarSpec:
     with open(path) as fh:
         try:
             return oracles.SelfSimilarSpec.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError, OverflowError,
-                SpecError) as exc:
+        except (TypeError, ValueError, OverflowError, SpecError) as exc:
             raise SpecError(f"{path}: bad spec: {type(exc).__name__}: {exc}")
 
 

@@ -24,12 +24,20 @@ from .errors import BadBoxCount, FormatError, SpecError
 _CHUNK_LINES = 1 << 16  # format_rows' chunk: about 1.3 MB of dust text
 
 
-def _check_array_size(n: int, what: str, error=SpecError) -> None:
-    """Refuse what, an array of n elements, when n is past the largest
-    length an array can have."""
-    if n > np.iinfo(np.intp).max:
-        raise error(f"{what} exceeds the largest array length, "
-                    f"{np.iinfo(np.intp).max}")
+# Each array a count sizes holds 8-byte items. numpy refuses one whose bytes
+# pass intp's maximum, and np.arange one within 512 bytes of it (ValueError,
+# not MemoryError). The - 1 leaves room for cover's B + 1 edges.
+_MAX_COUNT = (np.iinfo(np.intp).max - 512) // 8 - 1
+
+
+def _check_count(n: int, least: int, what: str, error=SpecError) -> None:
+    """Refuse what, a count n that sizes an array, below least or past
+    _MAX_COUNT. Stated as what must hold, so NaN is refused."""
+    if not n >= least:
+        raise error(f"{what} must be >= {least}, got {n}")
+    if n > _MAX_COUNT:
+        raise error(f"{what} {n} exceeds the largest array length, "
+                    f"{_MAX_COUNT}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +89,7 @@ def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     in the box the key gives them. Multiplying by 2 commutes with IEEE
     rounding, so cover(dust, 2B) refines cover(dust, B) exactly.
     """
-    if B < 2:
-        raise BadBoxCount(f"need at least 2 boxes, got {B}")
-    _check_array_size(B + 1, f"box count {B} plus one edge", BadBoxCount)
+    _check_count(B, 2, "box count", BadBoxCount)
     points = dust.points
     S = points.size
     boxes = np.arange(B + 1)
@@ -113,7 +119,9 @@ def read_rows(path, parse=float, header=None):
     pairs = []
     rows = []
     saw_header = header is None
-    with open(path) as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no parse
+    # accepts, so its row is refused below with its line number
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 rows.append(parse(line))

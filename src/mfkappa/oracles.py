@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .measure import CantorDust, _check_array_size
+from .measure import CantorDust, _check_count
 
 # cascade interval lengths must stay above double-precision underflow
 _MAX_LOG_SHRINK = 690.0
@@ -47,9 +47,7 @@ class SelfSimilarSpec:
             raise SpecError("ratios must be positive with r1 + r2 <= 1")
         if not self.depth >= 1:
             raise SpecError("depth must be >= 1")
-        if not self.S >= 1:
-            raise SpecError("sample size must be >= 1")
-        _check_array_size(self.S, f"sample size {self.S}")
+        _check_count(self.S, 1, "sample size")
         if not self.seed >= 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
 
@@ -137,7 +135,7 @@ def gen_superposed(spec_a: SelfSimilarSpec, spec_b: SelfSimilarSpec,
     if not 0.0 < mix < 1.0:
         raise SpecError(f"mix must lie strictly in (0,1), got {mix}")
     total = spec_a.S + spec_b.S
-    _check_array_size(total, f"sample size {total}")
+    _check_count(total, 2, "sample size")
     n_a = round(mix * total)
     n_b = total - n_a
     pts_a = _cascade_points(spec_a, n_a, np.random.default_rng(spec_a.seed))
@@ -178,32 +176,28 @@ def oracle_spectrum(spec: SelfSimilarSpec, q_grid) -> OracleSpectrum:
 
 
 def gen_farey(Q: int) -> CantorDust:
-    """All reduced fractions p/q in [0,1] with denominator q <= Q, counted
-    by a totient sieve so that the dust is allocated once, before the fill."""
-    if Q < 2:
-        raise SpecError(f"max denominator must be >= 2, got {Q}")
-    size = 2 + Q * (Q - 1) // 2  # 0, 1 and at most q - 1 fractions per q
-    _check_array_size(size, f"Farey dust of Q={Q} (up to {size} points)")
-    phi = np.arange(Q + 1)  # Euler's totient: phi[q] fractions p/q
-    for p in range(2, Q + 1):
-        if phi[p] == p:  # no smaller prime divides p
-            phi[p::p] -= phi[p::p] // p
-    points = np.empty(2 + int(phi[2:].sum()))
+    """All reduced fractions p/q in [0,1] with denominator q <= Q. The dust
+    is allocated once, at the bound 2 + Q(Q-1)/2 (0, 1 and at most q - 1
+    fractions per q), and filled one q at a time; the pages past the last
+    fraction, about 39% of the bound, are never written."""
+    _check_count(Q, 2, "max denominator")
+    size = 2 + Q * (Q - 1) // 2
+    _check_count(size, 3, f"Farey dust of Q={Q}: point bound")
+    points = np.empty(size)
     points[:2] = 0.0, 1.0
     at = 2
     for den in range(2, Q + 1):
         num = np.arange(1, den)
-        points[at:at + phi[den]] = num[np.gcd(num, den) == 1] / den
-        at += phi[den]
-    return CantorDust(points)
+        reduced = num[np.gcd(num, den) == 1] / den
+        points[at:at + reduced.size] = reduced
+        at += reduced.size
+    return CantorDust(points[:at])
 
 
 def gen_uniform(S: int, mode: str = "equispaced",
                 seed: int = 0) -> CantorDust:
     """Uniform dust: equispaced midpoints (k+0.5)/S or S i.i.d. draws."""
-    if S < 1:
-        raise SpecError(f"sample size must be >= 1, got {S}")
-    _check_array_size(S, f"sample size {S}")
+    _check_count(S, 1, "sample size")
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     if mode == "equispaced":

@@ -17,9 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (BadBoxCount, FormatError, MfkError, SizingViolation,
-                     SpecError)
-from .measure import (CantorDust, NaturalMeasure, _check_array_size,
+from .errors import BadBoxCount, FormatError, MfkError, SizingViolation
+from .measure import (CantorDust, NaturalMeasure, _check_count,
                       atomic_write, cover, format_rows, read_rows)
 
 
@@ -84,9 +83,7 @@ def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
     boxes contributes the point (bin midpoint, ln N / ln B). Empty bins are
     omitted. If all alphas coincide the spectrum collapses to one point.
     """
-    if A < 1:
-        raise SpecError(f"bin count must be >= 1, got {A}")
-    _check_array_size(A, f"bin count {A}")
+    _check_count(A, 1, "bin count")
     if alphas.size == 0:
         raise ValueError("alpha field is empty")
     a_lo = float(alphas.min())

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import resource
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import mfkappa
 from mfkappa import errors
 from mfkappa.cli import build_parser, main
-from mfkappa.measure import read_rows, write_dust
+from mfkappa.measure import _MAX_COUNT, read_rows, write_dust
 from mfkappa.oracles import gen_uniform
 from mfkappa.spectrum import estimate, write_spectrum_csv
 
@@ -543,23 +544,26 @@ class TestErrorContract:
         assert not out.exists()
 
     def test_farey_past_memory_fails_at_once(self, tmp_path):
-        # Q = 1e5 has about 3e9 points (24 GB): the dust is sized before it
-        # is filled, so its one allocation fails at once under a 1 GiB cap
+        # the dust is allocated once, at its point bound, before the fill:
+        # 5e9 points (40 GB) at Q = 1e5 and 2e14 at Q = 2e7, so under a
+        # 1 GiB cap that one allocation fails at once
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         out = tmp_path / "f.txt"
         src = os.path.dirname(os.path.dirname(mfkappa.__file__))
         # one BLAS thread, so that thread stacks fit the cap on any host
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfkappa.cli", "generate", "farey",
-             "--Q", "100000", "--out", str(out)], capture_output=True,
-            text=True, env=env, preexec_fn=cap_address_space, timeout=5)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert not out.exists()
+        for Q, timeout in [(100_000, 5), (20_000_000, 2)]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mfkappa.cli", "generate", "farey",
+                 "--Q", str(Q), "--out", str(out)], capture_output=True,
+                text=True, env=env, preexec_fn=cap_address_space,
+                timeout=timeout)
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"p": [0.5, 0.5], "depth": 4, "S": 10}',
@@ -615,6 +619,82 @@ class TestErrorContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert all(w in err[0] for w in words)
+
+    # Each count flag at least - 1, at the largest count and one past it.
+    # The first and last are refused (exit 2). At the largest count the
+    # allocation, 4.6e18 bytes or more, is past any address space and fails
+    # at once (exit 1). A superposed count n is the union of a spec file
+    # of S = n - 1 and one of S = 1.
+    FAREY_Q = max(Q for Q in range(math.isqrt(2 * _MAX_COUNT) - 2,
+                                   math.isqrt(2 * _MAX_COUNT) + 3)
+                  if 2 + Q * (Q - 1) // 2 <= _MAX_COUNT)
+    COUNT_FLAGS = {
+        "uniform-equispaced-S": (["generate", "uniform", "--S", "{n}",
+                                  "--out", "{tmp}/u.txt"], 1, _MAX_COUNT),
+        "uniform-random-S": (["generate", "uniform", "--mode", "random",
+                              "--S", "{n}", "--out", "{tmp}/u.txt"],
+                             1, _MAX_COUNT),
+        "selfsimilar-S": (["generate", "selfsimilar", "--S", "{n}",
+                           "--out", "{tmp}/s.txt"], 1, _MAX_COUNT),
+        "superposed-S": (["generate", "superposed", "--spec-a", "{tmp}/a.json",
+                          "--spec-b", "{tmp}/b.json", "--out",
+                          "{tmp}/s.txt"], 2, _MAX_COUNT),
+        "farey-Q": (["generate", "farey", "--Q", "{n}", "--out",
+                     "{tmp}/f.txt"], 2, FAREY_Q),
+        "analyze-boxes": (["analyze", "{dust}", "--boxes", "{n}", "--bins",
+                           "3", "--force"], 2, _MAX_COUNT),
+        "sweep-boxes": (["sweep", "{dust}", "--boxes", "{n}", "--bins", "3",
+                         "--force", "--out-prefix", "{tmp}/sw"],
+                        2, _MAX_COUNT),
+        "analyze-bins": (["analyze", "{random}", "--boxes", "100", "--bins",
+                          "{n}", "--force"], 1, _MAX_COUNT),
+    }
+
+    @pytest.mark.parametrize("flag,at,code", [
+        pytest.param(flag, at, code, id=f"{flag}-{at}")
+        for flag in COUNT_FLAGS
+        for at, code in (("below", 2), ("bound", 1), ("past", 2))])
+    def test_count_flag_boundary(self, flag, at, code, uniform_dust,
+                                 tmp_path, capsys):
+        argv, least, bound = self.COUNT_FLAGS[flag]
+        n = {"below": least - 1, "bound": bound, "past": bound + 1}[at]
+        spec = '{{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": {}}}'
+        (tmp_path / "a.json").write_text(spec.format(n - 1))
+        (tmp_path / "b.json").write_text(spec.format(1))
+        random = tmp_path / "random.txt"
+        assert run("generate", "uniform", "--mode", "random", "--S", "10000",
+                   "--out", str(random)) == 0
+        argv = [a.format(n=n, tmp=tmp_path, dust=uniform_dust, random=random)
+                for a in argv]
+        assert run(*argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command,text", [
+        (["analyze", "{path}", "--boxes", "2", "--bins", "1"],
+         b"0.25\n0.\xff5\n0.75\n"),
+        (["sweep", "{path}", "--boxes", "2", "--bins", "1",
+          "--out-prefix", "{tmp}/sw"], b"0.25\n0.\xff5\n0.75\n"),
+        (["classify", "{path}"], b"alpha,f\n0.9,0.\xff3\n1.0,0.7\n"),
+        (["plot", "{path}", "--out", "{tmp}/p.svg"],
+         b"alpha,f\n0.9,0.\xff3\n1.0,0.7\n"),
+    ], ids=["analyze", "sweep", "classify", "plot"])
+    def test_byte_not_utf8_names_its_line(self, command, text, tmp_path,
+                                          capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        argv = [a.format(path=path, tmp=tmp_path) for a in command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:2: ")
+
+
+def test_byte_not_utf8_in_a_comment_is_ignored(tmp_path):
+    path = tmp_path / "dust.txt"
+    path.write_bytes(b"# caf\xe9\n" + b"".join(
+        b"%r\n" % ((k + 0.5) / 100) for k in range(100)))
+    assert run("analyze", str(path), "--boxes", "10", "--bins", "3",
+               "--out", str(tmp_path / "spec.csv")) == 0
 
 
 def test_one_point_report_is_strict_json(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfkappa.errors import SpecError
-from mfkappa.measure import CantorDust
+from mfkappa.measure import _MAX_COUNT, CantorDust
 from mfkappa.oracles import (_TABLE_LEVELS, SelfSimilarSpec, _cascade_points,
                              gen_farey, gen_selfsimilar, gen_superposed,
                              gen_uniform, oracle_spectrum)
@@ -45,7 +45,7 @@ class TestSelfSimilarGen:
 
     def test_superposed_union_past_array_length_rejected(self):
         half = SelfSimilarSpec(**MIDDLE_THIRD, depth=3,
-                               S=(np.iinfo(np.intp).max + 1) // 2)
+                               S=_MAX_COUNT // 2 + 1)
         with pytest.raises(SpecError):  # each fits an array, the union not
             gen_superposed(half, half, 0.5)
 
@@ -441,10 +441,12 @@ class TestFarey:
         assert gen_farey(Q).points.tobytes() == expected.tobytes()
 
     def test_count_matches_gcd_count_up_to_100(self):
-        count = 2  # 0/1 and 1/1
+        points = [0.0, 1.0]  # 0/1 and 1/1
         for Q in range(2, 101):
-            count += sum(math.gcd(p, Q) == 1 for p in range(1, Q))
-            assert gen_farey(Q).sample_size == count, Q
+            points += [p / Q for p in range(1, Q) if math.gcd(p, Q) == 1]
+            dust = gen_farey(Q)
+            assert dust.sample_size == len(points), Q
+            assert dust.points.tobytes() == np.sort(points).tobytes(), Q
 
     def test_count_200(self):
         assert gen_farey(200).sample_size == 12233
