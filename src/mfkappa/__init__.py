@@ -1,10 +1,9 @@
 """Multifractal spectra of Cantor dusts by the direct histogram method."""
 
 from .measure import CantorDust, NaturalMeasure, cover, read_dust, write_dust
-from .spectrum import (SizingStatus, SizingVerdict, Spectrum, alpha_field,
-                       auto_size, estimate, histogram_spectrum,
-                       read_spectrum_csv, sweep_boxes, validate_sizing,
-                       write_spectrum_csv)
+from .spectrum import (SizingStatus, Spectrum, alpha_field, auto_size,
+                       estimate, histogram_spectrum, read_spectrum_csv,
+                       sweep_boxes, validate_sizing, write_spectrum_csv)
 from .geometry import (FragmentReport, GeometryConfig, RegimeReport,
                        SegmentReport, SpectrumFeatures, cap_shape_check,
                        classify, compare_sweep, detect_fragments,

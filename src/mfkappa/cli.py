@@ -38,9 +38,9 @@ def _emit(text: str, out) -> None:
 def _warn(spec: spectrum.Spectrum) -> None:
     """One `warning:` line on stderr per sizing note of a Warning-band
     spectrum; the tag is coloured only on a terminal."""
-    if spec.sizing.status is SizingStatus.WARNING:
+    if spec.sizing is SizingStatus.WARNING:
         tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
-        for msg in spec.sizing.messages:
+        for msg in spec.sizing_notes:
             sys.stderr.write(f"{tag} {msg}\n")
 
 

@@ -249,8 +249,8 @@ def default_gap_threshold(spectrum: Spectrum) -> float:
     eps_a = spectrum.epsilon_alpha
     if eps_a > 0:
         return max(1.5 * eps_a, 0.1)
-    med = float(np.median(np.diff(alphas)))
-    return max(3.0 * med, 0.1) if med > 0 else math.inf
+    # alphas strictly increase, so the median spacing is above 0
+    return max(3.0 * float(np.median(np.diff(alphas))), 0.1)
 
 
 def classify(spectrum: Spectrum,

@@ -47,6 +47,9 @@ class SelfSimilarSpec:
             raise SpecError("ratios must be positive with r1 + r2 <= 1")
         if not self.depth >= 1:
             raise SpecError("depth must be >= 1")
+        # compared as int to float, so a depth past float range is refused
+        if self.depth > _MAX_LOG_SHRINK / math.log(1.0 / min(r1, r2)):
+            raise SpecError(f"depth {self.depth} underflows interval lengths")
         _check_count(self.S, 1, "sample size")
         if not self.seed >= 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
@@ -92,8 +95,6 @@ def _cascade_points(spec: SelfSimilarSpec, n: int,
     """
     p1 = spec.p[0]
     r1, r2 = spec.r
-    if spec.depth * math.log(1.0 / min(r1, r2)) > _MAX_LOG_SHRINK:
-        raise SpecError(f"depth {spec.depth} underflows interval lengths")
     k = min(spec.depth, _TABLE_LEVELS)
     lo, length = np.zeros(1), np.ones(1)
     for _ in range(k):  # path c's children sit at 2c (child 1) and 2c + 1
@@ -155,22 +156,25 @@ def oracle_spectrum(spec: SelfSimilarSpec, q_grid) -> OracleSpectrum:
     and f(q) = q alpha(q) - tau(q). Every q of the grid is kept.
     """
     q = np.asarray(q_grid, dtype=float)
-    p1, p2 = spec.p
-    r1, r2 = spec.r
-    ln_p1, ln_p2, ln_r1, ln_r2 = map(math.log, (p1, p2, r1, r2))
-    # g(t) = p1^q r1^-t + p2^q r2^-t - 1 strictly increases in t. Term i is 1
+    ln_p1, ln_p2, ln_r1, ln_r2 = map(math.log, (*spec.p, *spec.r))
+
+    def exponents(t):  # ln v_i, finite where p_i^q or r_i^-t overflows
+        return q * ln_p1 - t * ln_r1, q * ln_p2 - t * ln_r2
+
+    # g(t) = ln(p1^q r1^-t + p2^q r2^-t) strictly increases in t. Term i is 1
     # at t_i = q ln p_i / ln r_i and at most 1/2 up to t_i + ln 2 / ln r_i,
     # so g <= 0 at the smaller of those bounds and g > 0 at max(t1, t2).
-    w1, w2 = p1 ** q, p2 ** q
     t1, t2 = q * ln_p1 / ln_r1, q * ln_p2 / ln_r2
     lo = np.minimum(t1 + math.log(2) / ln_r1, t2 + math.log(2) / ln_r2)
     hi = np.maximum(t1, t2)
     for _ in range(200):  # to adjacent doubles, or 1e-50 wide near tau=0
         mid = 0.5 * (lo + hi)
-        above = w1 * r1 ** -mid + w2 * r2 ** -mid > 1.0
+        above = np.logaddexp(*exponents(mid)) > 0.0
         lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     taus = 0.5 * (lo + hi)
-    v1, v2 = w1 * r1 ** -taus, w2 * r2 ** -taus
+    e1, e2 = exponents(taus)
+    norm = np.logaddexp(e1, e2)
+    v1, v2 = np.exp(e1 - norm), np.exp(e2 - norm)
     alphas = (v1 * ln_p1 + v2 * ln_p2) / (v1 * ln_r1 + v2 * ln_r2)
     return OracleSpectrum(q, alphas, q * alphas - taus)
 

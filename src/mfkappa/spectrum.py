@@ -28,26 +28,21 @@ class SizingStatus(str, Enum):
     VIOLATION = "Violation"
 
 
-@dataclass(frozen=True)
-class SizingVerdict:
-    status: SizingStatus
-    messages: tuple[str, ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Finite (alpha, f) point list, alphas strictly increasing, with the
     sizes it was estimated at: sample size S, box count B, bin count A and
-    bin width epsilon_alpha. An S, B or A of 0 means the spectrum CSV it
-    was read from did not give it."""
+    bin width epsilon_alpha, and the sizing status with its notes. An S, B
+    or A of 0 means the spectrum CSV it was read from did not give it."""
 
     alphas: np.ndarray
     fs: np.ndarray
-    S: int
-    B: int
-    A: int
-    epsilon_alpha: float
-    sizing: SizingVerdict = SizingVerdict(SizingStatus.OK)
+    S: int = 0
+    B: int = 0
+    A: int = 0
+    epsilon_alpha: float = 0.0
+    sizing: SizingStatus = SizingStatus.OK
+    sizing_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         counts = (self.S, self.B, self.A)
@@ -101,15 +96,20 @@ def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
         occupied = np.flatnonzero(counts)
         mids = a_lo + (occupied + 0.5) * eps_a
         fs = np.log(counts[occupied]) / log_b
-    return Spectrum(mids, fs, S=0, B=B, A=A, epsilon_alpha=eps_a)
+    return Spectrum(mids, fs, B=B, A=A, epsilon_alpha=eps_a)
 
 
-def validate_sizing(S: int, B: int, A: int) -> SizingVerdict:
-    """Check the scale-separation inequalities S >= B^2 and B >= A^2.
+def validate_sizing(S: int, B: int,
+                    A: int) -> tuple[SizingStatus, tuple[str, ...]]:
+    """Check the scale-separation inequalities S >= B^2 and B >= A^2, and
+    return the status with its notes. A box count below 2 or a bin count
+    below 1 is refused first, as no sizing can make it usable.
 
     B up to twice sqrt(S) is tolerated as a Warning: pushing the box count
     past sqrt(S) trades smoothness for resolution but stays usable.
     """
+    _check_count(B, 2, "box count", BadBoxCount)
+    _check_count(A, 1, "bin count")
     msgs = []
     violated = False
     if S < B * B:
@@ -123,10 +123,10 @@ def validate_sizing(S: int, B: int, A: int) -> SizingVerdict:
         msgs.append(f"B >= A^2 violated: B={B} < A^2={A * A}")
         violated = True
     if violated:
-        return SizingVerdict(SizingStatus.VIOLATION, tuple(msgs))
+        return SizingStatus.VIOLATION, tuple(msgs)
     if msgs:
-        return SizingVerdict(SizingStatus.WARNING, tuple(msgs))
-    return SizingVerdict(SizingStatus.OK)
+        return SizingStatus.WARNING, tuple(msgs)
+    return SizingStatus.OK, ()
 
 
 def auto_size(S: int) -> tuple[int, int]:
@@ -142,11 +142,12 @@ def auto_size(S: int) -> tuple[int, int]:
 def estimate(dust: CantorDust, B: int, A: int, force: bool = False) -> Spectrum:
     """Full pipeline: cover, alpha field, histogram. Refuses sizing Violations
     unless force is set; the spectrum carries S and the sizing verdict."""
-    verdict = validate_sizing(dust.sample_size, B, A)
-    if verdict.status is SizingStatus.VIOLATION and not force:
-        raise SizingViolation("; ".join(verdict.messages))
+    status, notes = validate_sizing(dust.sample_size, B, A)
+    if status is SizingStatus.VIOLATION and not force:
+        raise SizingViolation("; ".join(notes))
     spec = histogram_spectrum(alpha_field(cover(dust, B)), B, A)
-    return replace(spec, S=dust.sample_size, sizing=verdict)
+    return replace(spec, S=dust.sample_size, sizing=status,
+                   sizing_notes=notes)
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
 def format_spectrum_csv(spec: Spectrum) -> str:
     pairs = [("S", spec.S), ("B", spec.B), ("A", spec.A),
              ("epsilon_alpha", repr(spec.epsilon_alpha)),
-             ("sizing", spec.sizing.status.value)]
-    pairs += [("sizing_note", msg) for msg in spec.sizing.messages]
+             ("sizing", spec.sizing.value)]
+    pairs += [("sizing_note", msg) for msg in spec.sizing_notes]
     rows = map("{!r},{!r}".format, spec.alphas.tolist(), spec.fs.tolist())
     return "".join(format_rows(pairs, rows, header="alpha,f"))
 
@@ -195,7 +196,6 @@ def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum CSV; rows may come in any order."""
     pairs, rows = read_rows(path, parse=_alpha_f_row, header="alpha,f")
     meta = dict(pairs)
-    notes = tuple(v for k, v in pairs if k == "sizing_note")
     if not rows:
         raise FormatError(f"{path}: not a spectrum CSV")
     alphas, fs = np.array(rows).T
@@ -205,7 +205,7 @@ def read_spectrum_csv(path) -> Spectrum:
             alphas[order], fs[order], S=int(meta.get("S", 0)),
             B=int(meta.get("B", 0)), A=int(meta.get("A", 0)),
             epsilon_alpha=float(meta.get("epsilon_alpha", 0.0)),
-            sizing=SizingVerdict(SizingStatus(meta.get("sizing", "Ok")),
-                                 notes))
+            sizing=SizingStatus(meta.get("sizing", "Ok")),
+            sizing_notes=tuple(v for k, v in pairs if k == "sizing_note"))
     except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None

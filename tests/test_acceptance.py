@@ -104,7 +104,7 @@ class TestCriterion2Cantor:
             feats = features(spec)
             d0 = _support_dimension(spec)
             assert dt < 1.0
-            assert spec.sizing.status is SizingStatus.OK
+            assert spec.sizing is SizingStatus.OK
             assert abs(feats.alpha_M - dim) <= 0.08, \
                 f"seed {seed}: alpha_M = {feats.alpha_M:.4f}, " \
                 f"|alpha_M - ln2/ln3| > 0.08"
@@ -241,11 +241,10 @@ class TestCriterion6Sizing:
         assert auto_size(10_000) == (100, 9)
 
     def test_warning_band(self):
-        assert validate_sizing(10_000, 200, 9).status is \
-            SizingStatus.WARNING
+        assert validate_sizing(10_000, 200, 9)[0] is SizingStatus.WARNING
 
     def test_violation(self):
-        assert validate_sizing(10_000, 5000, 9).status is \
+        assert validate_sizing(10_000, 5000, 9)[0] is \
             SizingStatus.VIOLATION
 
 

@@ -488,6 +488,8 @@ class TestErrorContract:
         ["generate", "uniform", "--seed", "0", "--out", "{tmp}/u.txt"],
         ["generate", "selfsimilar", "--depth", "700", "--S", "10",
          "--out", "{tmp}/s.txt"],
+        ["generate", "selfsimilar", "--depth", "1" + "0" * 400, "--S", "10",
+         "--out", "{tmp}/s.txt"],
         ["generate", "selfsimilar", "--S", "10000000000000000000",
          "--out", "{tmp}/s.txt"],
         ["generate", "uniform", "--mode", "random", "--S",
@@ -500,6 +502,12 @@ class TestErrorContract:
          "--bins", "3", "--force", "--out-prefix", "{tmp}/sw"],
         ["generate", "farey", "--Q", "100000000000000000000",
          "--out", "{tmp}/f.txt"],
+        ["analyze", "{dust}", "--boxes", "1", "--bins", "9"],
+        ["analyze", "{dust}", "--boxes", "0", "--bins", "3"],
+        ["analyze", "{dust}", "--boxes", "-4", "--bins", "3"],
+        ["analyze", "{dust}", "--boxes", "5000", "--bins", "0"],
+        ["sweep", "{dust}", "--boxes", "5000,6000", "--bins", "-1",
+         "--out-prefix", "{tmp}/sw"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
             "cap-tol-negative", "segment-tol-inf", "cap-tol-inf",
@@ -507,9 +515,11 @@ class TestErrorContract:
             "sweep-bins-0", "sweep-boxes-1", "selfsimilar-seed-negative",
             "uniform-seed-negative", "equispaced-seed",
             "equispaced-seed-0", "selfsimilar-depth-underflows",
+            "selfsimilar-depth-past-float",
             "selfsimilar-S-past-intp", "uniform-S-past-intp",
             "boxes-past-intp", "bins-past-intp", "sweep-boxes-past-intp",
-            "farey-Q-past-intp"])
+            "farey-Q-past-intp", "boxes-1-unforced", "boxes-0",
+            "boxes-negative", "bins-0-violating", "sweep-bins-negative"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")
@@ -581,10 +591,14 @@ class TestErrorContract:
         '"seed": true}',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 10, "sed": 5}',
         '{"p": [0.5, 0.5], "r": [0.3, 0.3], "S": 10}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 100000, "S": 10}',
+        '{"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 1' + '0' * 400
+        + ', "S": 10}',
     ], ids=["missing-r", "truncated", "json-list", "depth-not-int",
             "seed-negative", "depth-fractional", "S-fractional",
             "seed-fractional", "S-infinite", "depth-bool", "S-bool",
-            "seed-bool", "unknown-key", "missing-depth"])
+            "seed-bool", "unknown-key", "missing-depth", "depth-underflows",
+            "depth-past-float"])
     @pytest.mark.parametrize("flag", ["--spec-b", "--spec-a"])
     def test_bad_spec_file_exits_2(self, text, flag, tmp_path):
         bad = tmp_path / "bad.json"

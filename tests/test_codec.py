@@ -58,9 +58,9 @@ def reference_format_spectrum_csv(spec):
         f"# B={spec.B}",
         f"# A={spec.A}",
         f"# epsilon_alpha={spec.epsilon_alpha!r}",
-        f"# sizing={spec.sizing.status.value}",
+        f"# sizing={spec.sizing.value}",
     ]
-    for msg in spec.sizing.messages:
+    for msg in spec.sizing_notes:
         lines.append(f"# sizing_note={msg}")
     lines.append("alpha,f")
     for a, f in zip(spec.alphas, spec.fs):

@@ -75,21 +75,19 @@ class TestSelfSimilarGen:
         assert np.array_equal(d1.points, d2.points)
 
     def test_depth_guard(self):
-        spec = SelfSimilarSpec(p=(0.5, 0.5), r=(0.01, 0.01), depth=200,
-                               S=10)
         with pytest.raises(SpecError, match="depth 200 underflows interval "
                            "lengths") as exc:
-            gen_selfsimilar(spec)
+            SelfSimilarSpec(p=(0.5, 0.5), r=(0.01, 0.01), depth=200, S=10)
         assert exc.value.exit_code == 2
 
     def test_depth_guard_runs_before_any_table(self):
-        spec = SelfSimilarSpec(p=(0.5, 0.5), r=(0.01, 0.01), depth=200,
-                               S=10)
         tracemalloc.start()
         try:
             with pytest.raises(SpecError, match="depth 200 underflows "
                                "interval lengths") as exc:
-                gen_selfsimilar(spec)
+                gen_selfsimilar(SelfSimilarSpec(p=(0.5, 0.5),
+                                                r=(0.01, 0.01), depth=200,
+                                                S=10))
             assert exc.value.exit_code == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -341,6 +339,17 @@ class TestOracle:
         assert np.all(np.diff(orc.alphas) <= 1e-12)
         k = int(np.argmin(np.abs(orc.q_grid)))
         assert np.argmax(orc.fs) == k
+
+    @pytest.mark.parametrize("p,r", [((0.3, 0.7), (0.5, 0.5)),
+                                     ((0.3, 0.7), (0.25, 0.4))])
+    def test_large_q_reaches_the_ends_finite(self, p, r):
+        # p_i^q and r_i^-tau overflow here; their logs do not. Under the
+        # suite's filterwarnings = error an overflow warning fails the test.
+        orc = _oracle(p, r, [600.0, 1000.0, -600.0, -1000.0])
+        ends = sorted(math.log(p[i]) / math.log(r[i]) for i in (0, 1))
+        np.testing.assert_allclose(orc.alphas, [ends[0]] * 2 + [ends[1]] * 2,
+                                   rtol=0, atol=1e-9)
+        assert np.all(np.abs(orc.fs) <= 1e-9)
 
     @pytest.mark.parametrize("p,r", [
         ((0.25, 0.75), (0.2, 0.6)),

@@ -2,9 +2,10 @@ import builtins
 import importlib
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
-from mfkappa import cli, errors
+from mfkappa import Spectrum, cli, errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,6 +39,25 @@ def test_modules_table_check_catches_a_removed_name():
     assert stale != text
     assert missing_module_names(stale) == [("mfkappa.geometry",
                                             "CapShapeResult")]
+
+
+def unnamed_spectrum_fields(text):
+    """The fields of Spectrum that the Library section's "A `Spectrum`
+    holds" paragraph does not name in backticks."""
+    paragraph = text.split("\nA `Spectrum` holds", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([^`]+)`", paragraph))
+    return [f.name for f in fields(Spectrum) if f.name not in named]
+
+
+def test_spectrum_paragraph_names_every_field():
+    assert unnamed_spectrum_fields(README.read_text()) == []
+
+
+def test_spectrum_paragraph_check_catches_a_missing_field():
+    text = README.read_text()
+    stale = text.replace("`sizing_notes`", "its notes")
+    assert stale != text
+    assert unnamed_spectrum_fields(stale) == ["sizing_notes"]
 
 
 def exit_code_mismatches(text):

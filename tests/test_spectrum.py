@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mfkappa.errors import BadBoxCount, MfkError, SizingViolation
+from mfkappa.errors import (BadBoxCount, MfkError, SizingViolation,
+                            SpecError)
 from mfkappa.measure import CantorDust, cover
 from mfkappa.oracles import SelfSimilarSpec, gen_uniform, oracle_spectrum
 from mfkappa.spectrum import (SizingStatus, alpha_field, auto_size,
@@ -86,14 +87,22 @@ class TestSizing:
         (10_000, 5000, 9, SizingStatus.VIOLATION),
     ])
     def test_verdicts(self, S, B, A, status):
-        assert validate_sizing(S, B, A).status is status
+        assert validate_sizing(S, B, A)[0] is status
 
     def test_violation_names_inequality(self):
-        verdict = validate_sizing(10_000, 5000, 9)
-        assert any("B^2" in m for m in verdict.messages)
-        verdict = validate_sizing(10_000, 100, 50)
-        assert verdict.status is SizingStatus.VIOLATION
-        assert any("A^2" in m for m in verdict.messages)
+        _, notes = validate_sizing(10_000, 5000, 9)
+        assert any("B^2" in m for m in notes)
+        status, notes = validate_sizing(10_000, 100, 50)
+        assert status is SizingStatus.VIOLATION
+        assert any("A^2" in m for m in notes)
+
+    def test_refuses_a_count_it_cannot_size(self):
+        # refused before the inequalities, which a bin count of 0 passes
+        with pytest.raises(SpecError, match="bin count must be >= 1, got 0"):
+            validate_sizing(10_000, 100, 0)
+        with pytest.raises(BadBoxCount,
+                           match="box count must be >= 2, got 1"):
+            validate_sizing(10_000, 1, 1)
 
     def test_auto_size(self):
         assert auto_size(10_000) == (100, 9)
@@ -103,7 +112,7 @@ class TestSizing:
     def test_auto_size_sizes_ok(self):
         for S in range(16, 300_001):
             B, A = auto_size(S)
-            assert validate_sizing(S, B, A).status is SizingStatus.OK, S
+            assert validate_sizing(S, B, A)[0] is SizingStatus.OK, S
 
     def test_auto_size_too_small(self):
         with pytest.raises(MfkError, match="auto-sizing needs S >= 16, "
@@ -116,7 +125,7 @@ class TestEstimate:
     def test_uniform_pipeline(self):
         spec = estimate(gen_uniform(10_000), 100, 9)
         assert spec.alphas.tolist() == [1.0] and spec.fs.tolist() == [1.0]
-        assert spec.sizing.status is SizingStatus.OK
+        assert spec.sizing is SizingStatus.OK
 
     def test_single_point_dust(self):
         spec = estimate(CantorDust(np.array([0.5])), 100, 9, force=True)
@@ -175,6 +184,13 @@ class TestSweep:
         assert isinstance(entries[0].error, BadBoxCount)
         assert entries[1].spectrum is not None
 
+    def test_box_count_below_2_is_refused_before_its_sizing(self):
+        entries = sweep_boxes(gen_uniform(10_000), [1, 100], 9)
+        assert entries[0].spectrum is None
+        assert isinstance(entries[0].error, BadBoxCount)
+        assert str(entries[0].error) == "box count must be >= 2, got 1"
+        assert entries[1].spectrum is not None
+
     def test_order_follows_b_list(self):
         dust = gen_uniform(10_000)
         entries = sweep_boxes(dust, [150, 100], 9)
@@ -211,18 +227,18 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back.fs, spec.fs)
     assert back.B == 100 and back.A == 9
     assert back.S == 10_000
-    assert back.sizing.status is SizingStatus.OK
+    assert back.sizing is SizingStatus.OK
 
 
 def test_csv_roundtrip_keeps_sizing_notes(tmp_path):
     # S=1e4 with B=150 lies in the Warning band sqrt(S) < B <= 2 sqrt(S)
     spec = estimate(gen_uniform(10_000, "random", 5), 150, 9)
-    assert spec.sizing.status is SizingStatus.WARNING
-    assert spec.sizing.messages
+    assert spec.sizing is SizingStatus.WARNING
+    assert spec.sizing_notes
     path = tmp_path / "spec.csv"
     write_spectrum_csv(spec, path)
     back = read_spectrum_csv(path)
-    for name in ("S", "B", "A", "epsilon_alpha", "sizing"):
+    for name in ("S", "B", "A", "epsilon_alpha", "sizing", "sizing_notes"):
         assert getattr(back, name) == getattr(spec, name)
 
 
