@@ -15,13 +15,13 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .errors import BadBoxCount, FormatError, SpecError
 
-_CHUNK_LINES = 1 << 16  # format_rows' chunk: about 1.3 MB of dust text
+_CHUNK_LINES = 1 << 16  # write_dust's chunk: about 1.3 MB of dust text
 
 
 # Each array a count sizes holds 8-byte items. numpy refuses one whose bytes
@@ -31,9 +31,12 @@ _MAX_COUNT = (np.iinfo(np.intp).max - 512) // 8 - 1
 
 
 def _check_count(n: int, least: int, what: str, error=SpecError) -> None:
-    """Refuse what, a count n that sizes an array, below least or past
-    _MAX_COUNT. Stated as what must hold, so NaN is refused."""
-    if not n >= least:
+    """Refuse what, a count n that sizes an array, that is not an integer
+    (a float, even a whole one, or a bool), below least or past
+    _MAX_COUNT. Numpy integers are integers."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {n!r}")
+    if n < least:
         raise error(f"{what} must be >= {least}, got {n}")
     if n > _MAX_COUNT:
         raise error(f"{what} {n} exceeds the largest array length, "
@@ -145,16 +148,13 @@ def read_rows(path, parse=float, header=None):
     return pairs, rows
 
 
-def format_rows(pairs, rows, header=None):
-    """The table read_rows reads: '# key=value' pairs, header, rows.
-
-    Yields the text in chunks of at most _CHUNK_LINES lines, so a writer
-    never holds the whole table at once.
-    """
-    lines = chain((f"# {key}={val}" for key, val in pairs),
-                  () if header is None else (header,), rows)
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        yield "\n".join(chunk) + "\n"
+def format_header(pairs, header=None) -> str:
+    """The lines read_rows reads before the rows: '# key=value' per pair,
+    then the header line, if given."""
+    lines = [f"# {key}={val}" for key, val in pairs]
+    if header is not None:
+        lines.append(header)
+    return "".join(line + "\n" for line in lines)
 
 
 def read_dust(path) -> CantorDust:
@@ -166,11 +166,12 @@ def read_dust(path) -> CantorDust:
 
 
 def write_dust(dust: CantorDust, path, header: dict | None = None) -> None:
-    """Write a dust file atomically (temp file + rename)."""
-    pts = dust.points  # converted to Python floats one chunk at a time
-    rows = chain.from_iterable(map(repr, pts[i:i + _CHUNK_LINES].tolist())
-                               for i in range(0, pts.size, _CHUNK_LINES))
-    atomic_write(path, format_rows((header or {}).items(), rows))
+    """Write a dust file atomically (temp file + rename), converting the
+    points to text _CHUNK_LINES at a time."""
+    pts = dust.points
+    chunks = ("\n".join(map(repr, pts[i:i + _CHUNK_LINES].tolist())) + "\n"
+              for i in range(0, pts.size, _CHUNK_LINES))
+    atomic_write(path, chain([format_header((header or {}).items())], chunks))
 
 
 def atomic_write(path, chunks) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadBoxCount, FormatError, MfkError, SizingViolation
 from .measure import (CantorDust, NaturalMeasure, _check_count,
-                      atomic_write, cover, format_rows, read_rows)
+                      atomic_write, cover, format_header, read_rows)
 
 
 class SizingStatus(str, Enum):
@@ -32,8 +32,9 @@ class SizingStatus(str, Enum):
 class Spectrum:
     """Finite (alpha, f) point list, alphas strictly increasing, with the
     sizes it was estimated at: sample size S, box count B, bin count A and
-    bin width epsilon_alpha, and the sizing status with its notes. An S, B
-    or A of 0 means the spectrum CSV it was read from did not give it."""
+    bin width epsilon_alpha, and the sizing status, a SizingStatus or its
+    value, with its notes. An S, B or A of 0 means the spectrum CSV it was
+    read from did not give it."""
 
     alphas: np.ndarray
     fs: np.ndarray
@@ -45,20 +46,32 @@ class Spectrum:
     sizing_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        counts = (self.S, self.B, self.A)
-        if not all(isinstance(v, (int, np.integer)) and v >= 0
-                   for v in counts):
-            raise FormatError("S, B and A must be integers >= 0, "
-                              f"got {counts}")
+        for name in ("S", "B", "A"):
+            _check_count(getattr(self, name), 0, name, FormatError)
         eps_a = self.epsilon_alpha
         if not (math.isfinite(eps_a) and eps_a >= 0):
             raise FormatError("epsilon_alpha must be finite and >= 0, "
                               f"got {eps_a}")
         a, f = self.alphas, self.fs
+        if not (isinstance(a, np.ndarray) and isinstance(f, np.ndarray)
+                and a.ndim == 1 and f.shape == a.shape):
+            raise FormatError(
+                "alphas and fs must be 1-D arrays of one length, got "
+                f"{type(a).__name__} {np.shape(a)} and "
+                f"{type(f).__name__} {np.shape(f)}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))
                 and np.all(np.diff(a) > 0)):
             raise FormatError("spectrum points must be finite, with "
                               "strictly increasing alphas")
+        try:
+            object.__setattr__(self, "sizing", SizingStatus(self.sizing))
+        except ValueError:
+            raise FormatError("sizing must be Ok, Warning or Violation, "
+                              f"got {self.sizing!r}") from None
+        if isinstance(self.sizing_notes, str):  # not one note per character
+            raise FormatError("sizing_notes must be a sequence of strings, "
+                              f"got the string {self.sizing_notes!r}")
+        object.__setattr__(self, "sizing_notes", tuple(self.sizing_notes))
 
     def __len__(self) -> int:
         return int(self.alphas.size)
@@ -179,8 +192,8 @@ def format_spectrum_csv(spec: Spectrum) -> str:
              ("epsilon_alpha", repr(spec.epsilon_alpha)),
              ("sizing", spec.sizing.value)]
     pairs += [("sizing_note", msg) for msg in spec.sizing_notes]
-    rows = map("{!r},{!r}".format, spec.alphas.tolist(), spec.fs.tolist())
-    return "".join(format_rows(pairs, rows, header="alpha,f"))
+    rows = map("{!r},{!r}\n".format, spec.alphas.tolist(), spec.fs.tolist())
+    return "".join([format_header(pairs, "alpha,f"), *rows])
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> None:
@@ -205,7 +218,7 @@ def read_spectrum_csv(path) -> Spectrum:
             alphas[order], fs[order], S=int(meta.get("S", 0)),
             B=int(meta.get("B", 0)), A=int(meta.get("A", 0)),
             epsilon_alpha=float(meta.get("epsilon_alpha", 0.0)),
-            sizing=SizingStatus(meta.get("sizing", "Ok")),
-            sizing_notes=tuple(v for k, v in pairs if k == "sizing_note"))
+            sizing=meta.get("sizing", "Ok"),
+            sizing_notes=[v for k, v in pairs if k == "sizing_note"])
     except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None

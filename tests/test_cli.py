@@ -325,10 +325,11 @@ class TestClassify:
     @pytest.mark.parametrize("meta", [
         "# sizing=Bogus", "# S=abc", "# epsilon_alpha=inf",
         "# epsilon_alpha=nan", "# epsilon_alpha=-0.1", "# B=-7"])
-    def test_bad_metadata_exits_1(self, tmp_path, meta):
+    def test_bad_metadata_exits_1(self, tmp_path, meta, capsys):
         path = tmp_path / "spec.csv"
         path.write_text(f"{meta}\nalpha,f\n0.9,0.3\n1.0,0.7\n")
         assert run("classify", str(path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestSweep:

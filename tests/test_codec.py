@@ -1,10 +1,11 @@
 """Old == new for the text codec.
 
 read_rows hands each raw line to parse and classifies only the lines parse
-rejects; write_dust and format_spectrum_csv write through format_rows. The
-references below are the codec as it was before: strip and classify every
-line, then parse, and each writer spelling out the '# key=value' syntax by
-hand. Every line must read the same and every file must come out
+rejects; write_dust and format_spectrum_csv write format_header's lines and
+then their rows, write_dust in chunks of _CHUNK_LINES rows. The references
+below are the codec as it was before: strip and classify every line, then
+parse, and each writer spelling out the '# key=value' syntax and every line
+by hand. Every line must read the same and every file must come out
 byte-identical.
 """
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mfkappa import measure
 from mfkappa.errors import FormatError
 from mfkappa.measure import CantorDust, read_rows, write_dust
 from mfkappa.spectrum import _alpha_f_row, estimate, format_spectrum_csv
@@ -163,11 +165,29 @@ def test_write_dust_bytes_match_reference(tmp_path, dust, header):
 @pytest.mark.parametrize("header", [None, {"kind": "fixture"}],
                          ids=["bare", "header"])
 def test_write_dust_bytes_match_across_a_chunk_boundary(tmp_path, S, header):
-    # format_rows chunks at 2^16 lines, which no drawn dust above reaches
+    # write_dust chunks at 2^16 rows, which no drawn dust above reaches
     dust = CantorDust(np.random.default_rng(S).random(S))
     path = tmp_path / "dust.txt"
     write_dust(dust, path, header=header)
     assert path.read_bytes() == reference_format_dust(dust, header).encode()
+
+
+def test_write_dust_hands_on_chunks_of_at_most_chunk_lines_rows(monkeypatch):
+    # the peak memory of writing a large dust rests on this: the text is
+    # made a chunk at a time, as atomic_write asks for it
+    written = []
+
+    def record(path, chunks):
+        assert iter(chunks) is chunks  # made as it is read, not up front
+        written.extend(chunks)
+
+    monkeypatch.setattr(measure, "atomic_write", record)
+    S = 2 * measure._CHUNK_LINES + 1
+    dust = CantorDust(np.random.default_rng(S).random(S))
+    write_dust(dust, "unused", header={"kind": "fixture", "S": S})
+    assert max(chunk.count("\n") for chunk in written) <= measure._CHUNK_LINES
+    assert "".join(written) == reference_format_dust(dust, {
+        "kind": "fixture", "S": S})
 
 
 LINE_100 = CantorDust(np.linspace(0.0, 1.0, 100))

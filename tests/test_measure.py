@@ -4,9 +4,11 @@ import stat
 import numpy as np
 import pytest
 
-from mfkappa.errors import BadBoxCount, FormatError
+from mfkappa.errors import BadBoxCount, FormatError, SpecError
 from mfkappa.measure import (CantorDust, atomic_write, cover, read_dust,
                              write_dust)
+from mfkappa.oracles import SelfSimilarSpec, gen_farey, gen_uniform
+from mfkappa.spectrum import histogram_spectrum, validate_sizing
 
 
 def test_empty_signal_rejected():
@@ -44,6 +46,35 @@ def test_cover_rejects_box_edges_past_the_array_length():
                        "largest array length") as exc:
         cover(CantorDust(np.array([0.5])), B)
     assert exc.value.exit_code == 2
+
+
+DUST = CantorDust(np.linspace(0.0, 1.0, 100))
+COUNT_CALLERS = {  # each caller of the count guard, with the count as n
+    "gen_uniform": (gen_uniform, "sample size"),
+    "gen_farey": (gen_farey, "max denominator"),
+    "cover": (lambda n: cover(DUST, n), "box count"),
+    "SelfSimilarSpec": (lambda n: SelfSimilarSpec(
+        (0.5, 0.5), (1 / 3, 1 / 3), 4, n), "sample size"),
+    "histogram_spectrum": (lambda n: histogram_spectrum(
+        np.array([1.0, 2.0]), 10, n), "bin count"),
+    "validate_sizing": (lambda n: validate_sizing(10_000, n, 9), "box count"),
+}
+
+
+@pytest.mark.parametrize("n", [10.5, 10.0, float("nan"), True],
+                         ids=["float", "whole-float", "nan", "bool"])
+@pytest.mark.parametrize("caller", COUNT_CALLERS)
+def test_a_count_that_is_not_an_integer_is_refused(caller, n):
+    call, what = COUNT_CALLERS[caller]
+    with pytest.raises(SpecError, match=f"^{what} must be an integer, "
+                       f"got {n!r}$") as exc:
+        call(n)
+    assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("caller", COUNT_CALLERS)
+def test_a_numpy_integer_count_is_accepted(caller):
+    COUNT_CALLERS[caller][0](np.int32(10))
 
 
 @pytest.mark.parametrize("seed", range(20))

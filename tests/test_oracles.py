@@ -362,12 +362,15 @@ class TestOracle:
 
         tau: brentq stops once the root lies within xtol + rtol |tau| of its
         answer, and the bisection's answer is the midpoint of two adjacent
-        doubles, within one ulp of tau. Both read the sign of g from a sum
-        of two powers near 1, wrong by a few eps, which moves a root by at
-        most that over g'(tau) = sum v_i ln(1/r_i) >= c = min ln(1/r_i)
-        (the v_i = p_i^q r_i^-tau sum to 1 at the root). Per tau, with
-        4 eps for each method:
-            e = xtol + rtol |tau| + ulp(tau) + 8 eps / c.
+        doubles, within one ulp of tau. An error in g moves a root by at
+        most that error over g'(tau) = sum v_i ln(1/r_i) >= c = min ln(1/r_i)
+        (the v_i = p_i^q r_i^-tau sum to 1 at the root). brentq reads the
+        sign of g from a sum of two powers near 1, wrong by 4 eps. The
+        oracle reads it from logaddexp of e_i = q ln p_i - tau ln r_i: the
+        logs, the products and the difference round each e_i by at most
+        2 (|q ln p_i| + |tau ln r_i|) eps, and logaddexp adds 4 eps. With
+        k = max_i (|q ln p_i| + |tau ln r_i|), per tau:
+            e = xtol + rtol |tau| + ulp(tau) + (8 + 2 k) eps / c.
         Reading the oracle's tau back as q alpha - f adds
         2 eps (|q alpha| + |f|).
 
@@ -388,8 +391,10 @@ class TestOracle:
         np.testing.assert_array_equal(orc.q_grid, q)
 
         c = min(math.log(1 / r[0]), math.log(1 / r[1]))
+        k = np.maximum(*(np.abs(q * math.log(p[i]))
+                         + np.abs(taus * math.log(r[i])) for i in (0, 1)))
         e = (xtol + rtol * np.abs(taus) + np.spacing(np.abs(taus))
-             + 8 * EPS / c)
+             + (8 + 2 * k) * EPS / c)
         read_back = 2 * EPS * (np.abs(q * orc.alphas) + np.abs(orc.fs))
         assert np.all(np.abs(q * orc.alphas - orc.fs - taus)
                       <= e + read_back)

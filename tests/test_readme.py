@@ -19,12 +19,18 @@ def test_library_example_runs():
 
 def missing_module_names(text):
     """(module, name) for each backticked name in the Modules table that
-    the module of its row does not define."""
+    the module of its row does not define, and for each backticked
+    `measure.name` of the File formats section that mfkappa.measure does
+    not define."""
     table = text.split("\nModules:\n", 1)[1]
     rows = re.findall(r"^\| `(mfkappa\.\w+)` \| (.*) \|$", table, re.M)
-    assert rows
-    return [(module, name) for module, cells in rows
-            for name in re.findall(r"`([^`]+)`", cells)
+    formats = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    io_names = re.findall(r"`measure\.(\w+)`", formats)
+    assert rows and io_names
+    named = [(module, name) for module, cells in rows
+             for name in re.findall(r"`([^`]+)`", cells)]
+    named += [("mfkappa.measure", name) for name in io_names]
+    return [(module, name) for module, name in named
             if not hasattr(importlib.import_module(module), name)]
 
 
@@ -39,6 +45,13 @@ def test_modules_table_check_catches_a_removed_name():
     assert stale != text
     assert missing_module_names(stale) == [("mfkappa.geometry",
                                             "CapShapeResult")]
+
+
+def test_file_formats_check_catches_a_removed_name():
+    text = README.read_text()
+    stale = text.replace("`measure.format_header`", "`measure.format_rows`")
+    assert stale != text
+    assert missing_module_names(stale) == [("mfkappa.measure", "format_rows")]
 
 
 def unnamed_spectrum_fields(text):

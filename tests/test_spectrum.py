@@ -5,11 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mfkappa.errors import (BadBoxCount, MfkError, SizingViolation,
-                            SpecError)
+from mfkappa.errors import (BadBoxCount, FormatError, MfkError,
+                            SizingViolation, SpecError)
 from mfkappa.measure import CantorDust, cover
 from mfkappa.oracles import SelfSimilarSpec, gen_uniform, oracle_spectrum
-from mfkappa.spectrum import (SizingStatus, alpha_field, auto_size,
+from mfkappa.spectrum import (SizingStatus, Spectrum, alpha_field, auto_size,
                               estimate, histogram_spectrum,
                               read_spectrum_csv, sweep_boxes,
                               validate_sizing, write_spectrum_csv)
@@ -240,6 +240,36 @@ def test_csv_roundtrip_keeps_sizing_notes(tmp_path):
     back = read_spectrum_csv(path)
     for name in ("S", "B", "A", "epsilon_alpha", "sizing", "sizing_notes"):
         assert getattr(back, name) == getattr(spec, name)
+
+
+ONE = np.array([1.0])
+
+
+def test_spectrum_takes_sizing_by_its_value():
+    spec = Spectrum(ONE, ONE, sizing="Warning", sizing_notes=["a note"])
+    assert spec.sizing is SizingStatus.WARNING
+    assert spec.sizing_notes == ("a note",)
+    assert "# sizing=Warning\n# sizing_note=a note\n" in \
+        format_spectrum_csv(spec)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"sizing": "Bogus"}, "sizing must be Ok, Warning or Violation"),
+    ({"sizing_notes": "a note"}, "sizing_notes must be a sequence"),
+    ({"alphas": np.array([1.0, 2.0, 3.0])}, "1-D arrays of one length"),
+    ({"alphas": np.ones((1, 1)), "fs": np.ones((1, 1))},
+     "1-D arrays of one length"),
+    ({"alphas": np.array(1.0), "fs": np.array(1.0)},
+     "1-D arrays of one length"),
+    ({"alphas": [1.0], "fs": [1.0]}, "1-D arrays of one length"),
+    ({"S": True}, "S must be an integer, got True"),
+    ({"B": False}, "B must be an integer, got False"),
+    ({"A": True}, "A must be an integer, got True"),
+], ids=["sizing", "notes-as-a-string", "lengths", "2-D", "0-D", "lists",
+        "S-bool", "B-bool", "A-bool"])
+def test_spectrum_refuses_fields_it_cannot_hold(fields, message):
+    with pytest.raises(FormatError, match=message):
+        Spectrum(**{"alphas": ONE, "fs": ONE, **fields})
 
 
 @st.composite
