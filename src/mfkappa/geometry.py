@@ -141,6 +141,12 @@ def cap_shape_check(spectrum: Spectrum,
     return not valleys.any()  # a bool, not numpy's, so JSON can hold it
 
 
+# Cells (window x padded column) one screen call holds in each of its float
+# arrays: 2**16 cells are 512 KiB, and every window of a spectrum of up to
+# 79 points at the default min_run fits in one call.
+_SCREEN_CELLS = 1 << 16
+
+
 def _line_fit_residual(alphas, fs):
     """Least-squares line through the points; returns (slope, max |resid|)."""
     coef = np.polyfit(alphas, fs, 1)
@@ -148,35 +154,60 @@ def _line_fit_residual(alphas, fs):
     return float(coef[0]), float(np.max(np.abs(resid)))
 
 
-def _window_screen(alphas, fs, length):
-    """Max |residual| from the least-squares line of every window of length
-    consecutive points, in one array pass, and a margin by which each may
-    differ from _line_fit_residual's.
+def _window_groups(n, min_run):
+    """Every window of n points with at least min_run of them, as (length,
+    start) arrays ordered longest first and then leftmost, cut into groups
+    whose windows, padded to the group's first length, hold at most
+    _SCREEN_CELLS cells (a lone window that holds more is a group)."""
+    lengths = np.arange(n, min_run - 1, -1)
+    counts = n - lengths + 1
+    length = np.repeat(lengths, counts)
+    start = np.arange(length.size) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    w = 0
+    while w < length.size:
+        stop = w + max(1, _SCREEN_CELLS // int(length[w]))
+        yield length[w:stop], start[w:stop]
+        w = stop
 
-    The screen centres each window (da = alpha - mean, df = f - mean) and
-    fits df = s*da; polyfit solves the uncentred problem by SVD. Both are
-    rounding-level perturbations of the same exact residual r. Each sum
-    over L = length terms carries a relative error below L*eps on terms
-    bounded by max|f| + |s|*max|alpha|, and a norm over L points costs at
-    most another factor L. Uncentred, alpha's offset is conditioned by
+
+def _window_screen(alphas, fs, length, start):
+    """Max |residual| from the least-squares line of each window (length[k]
+    consecutive points from start[k]), in one array pass over them all, and
+    a margin by which each may differ from _line_fit_residual's.
+
+    Each window is a row padded with zeros to the longest length. The
+    screen centres it (da = alpha - mean, df = f - mean, zero in the
+    padding) and fits df = s*da; polyfit solves the uncentred problem by
+    SVD. Both are rounding-level perturbations of the same exact residual
+    r. Padded zeros add exactly, so in any summation order each sum over a
+    window's L terms carries a relative error below L*eps on terms bounded
+    by max|f| + |s|*max|alpha|, and a norm over L points costs at most
+    another factor L. Uncentred, alpha's offset is conditioned by
     K = max|alpha| / (alpha_last - alpha_first), which multiplies the
     residual's own size. So the gap is below C*L**2*eps*scale, with
     scale = max|f| + |s|*max|alpha| + K*r. On fuzzed windows (L from 4 to
     60, alpha offsets to 1e3, spacings from 1e-6 to 3, slopes to 3) the
-    measured gap stayed below 0.36*L**2*eps*scale, so C = 16 leaves a
+    measured gap stayed below 0.38*L**2*eps*scale, so C = 16 leaves a
     40-fold headroom. For O(1) data and L <= 60 the margin is below 1e-10,
     far under any useful residual_tol, so the screen still rejects almost
     every window that is not a hit.
     """
-    a = sliding_window_view(alphas, length)
-    f = sliding_window_view(fs, length)
-    da = a - a.mean(axis=1, keepdims=True)
-    df = f - f.mean(axis=1, keepdims=True)
-    slope = np.sum(da * df, axis=1) / np.sum(da * da, axis=1)
-    resid = np.max(np.abs(df - slope[:, None] * da), axis=1)
-    a_max = np.max(np.abs(a), axis=1)
-    scale = (np.max(np.abs(f), axis=1) + np.abs(slope) * a_max
-             + a_max / (a[:, -1] - a[:, 0]) * resid)
+    width = int(length.max())
+    inside = np.arange(width) < length[:, None]
+    pad = np.zeros(width)
+    a, f = (sliding_window_view(np.concatenate([x, pad]), width)[start]
+            * inside for x in (alphas, fs))
+    first, last = alphas[start], alphas[start + length - 1]
+    a_max = np.maximum(np.abs(first), np.abs(last))  # alphas increase
+    f_max = np.max(np.abs(f), axis=1)
+    for x in (a, f):  # centred in place, still zero past each window
+        x -= (np.sum(x, axis=1) / length)[:, None] * inside
+    slope = np.einsum("ij,ij->i", a, f) / np.einsum("ij,ij->i", a, a)
+    a *= slope[:, None]
+    f -= a
+    resid = np.max(np.abs(f, out=f), axis=1)
+    scale = f_max + np.abs(slope) * a_max + a_max / (last - first) * resid
     return resid, 16 * length ** 2 * np.finfo(float).eps * scale
 
 
@@ -186,29 +217,36 @@ def detect_segment(spectrum: Spectrum,
     """Longest run of consecutive points collinear within residual_tol.
 
     Max-residual against the least-squares line encodes "f'(alpha) constant"
-    robustly on the short point lists this estimator produces. Each run
-    length, longest first, screens all its windows at once with
-    _window_screen; only a window whose screened residual is within
+    robustly on the short point lists this estimator produces. One
+    _window_screen call screens every window of at least min_run points at
+    once (a spectrum too long for _SCREEN_CELLS takes a few, longest
+    windows first). Only a window whose screened residual is within
     residual_tol plus its margin (or is not finite) is fitted by polyfit,
-    and only polyfit's slope and residual decide a hit and its report. The
-    margin bounds the screen's error, so no window polyfit would accept is
-    skipped and the report is the one fitting every window gives.
+    longest first and then leftmost, and only polyfit's slope and residual
+    decide a hit and its report; the search stops after the first length
+    with a hit. The margin bounds the screen's error, so no window polyfit
+    would accept is skipped and the report is the one fitting every window
+    gives.
     """
-    min_run = max(4, min_run)
     alphas, fs = spectrum.alphas, spectrum.fs
-    n = fs.size
-    for length in range(n, min_run - 1, -1):
-        screened, margin = _window_screen(alphas, fs, length)
-        hits = []
-        for i in np.flatnonzero(~(screened > residual_tol + margin)).tolist():
-            j = i + length - 1
+    hits, longest = [], 0
+    for length, start in _window_groups(fs.size, max(4, min_run)):
+        if length[0] < longest:
+            break
+        screened, margin = _window_screen(alphas, fs, length, start)
+        keep = ~(screened > residual_tol + margin)
+        for size, i in zip(length[keep].tolist(), start[keep].tolist()):
+            if size < longest:
+                break
+            j = i + size - 1
             slope, resid = _line_fit_residual(alphas[i:j + 1], fs[i:j + 1])
             if resid <= residual_tol:
                 hits.append((resid, i, j, slope))
-        if hits:  # longest first; then smallest residual, then leftmost
-            resid, i, j, slope = min(hits)
-            return SegmentReport(found=True, run=(i, j), slope=slope,
-                                 residual=resid)
+                longest = size
+    if hits:  # the longest length; then smallest residual, then leftmost
+        resid, i, j, slope = min(hits)
+        return SegmentReport(found=True, run=(i, j), slope=slope,
+                             residual=resid)
     return SegmentReport(found=False)
 
 

@@ -30,12 +30,17 @@ _CHUNK_LINES = 1 << 16  # write_dust's chunk: about 1.3 MB of dust text
 _MAX_COUNT = (np.iinfo(np.intp).max - 512) // 8 - 1
 
 
-def _check_count(n: int, least: int, what: str, error=SpecError) -> None:
-    """Refuse what, a count n that sizes an array, that is not an integer
-    (a float, even a whole one, or a bool), below least or past
-    _MAX_COUNT. Numpy integers are integers."""
+def _check_integer(n: int, what: str, error=SpecError) -> None:
+    """Refuse what, an n that is not an integer: a float, even a whole one,
+    or a bool. Numpy integers are integers."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise error(f"{what} must be an integer, got {n!r}")
+
+
+def _check_count(n: int, least: int, what: str, error=SpecError) -> None:
+    """Refuse what, a count n that sizes an array, that is not an integer
+    (see _check_integer), below least or past _MAX_COUNT."""
+    _check_integer(n, what, error)
     if n < least:
         raise error(f"{what} must be >= {least}, got {n}")
     if n > _MAX_COUNT:

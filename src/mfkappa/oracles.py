@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .measure import CantorDust, _check_count
+from .measure import CantorDust, _check_count, _check_integer
 
 # cascade interval lengths must stay above double-precision underflow
 _MAX_LOG_SHRINK = 690.0
@@ -45,12 +45,14 @@ class SelfSimilarSpec:
             raise SpecError("weights must be strictly positive")
         if not (r1 > 0 and r2 > 0 and r1 + r2 <= 1.0 + 1e-12):
             raise SpecError("ratios must be positive with r1 + r2 <= 1")
+        _check_integer(self.depth, "depth")
         if not self.depth >= 1:
             raise SpecError("depth must be >= 1")
         # compared as int to float, so a depth past float range is refused
         if self.depth > _MAX_LOG_SHRINK / math.log(1.0 / min(r1, r2)):
             raise SpecError(f"depth {self.depth} underflows interval lengths")
         _check_count(self.S, 1, "sample size")
+        _check_integer(self.seed, "seed")
         if not self.seed >= 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
 
@@ -202,6 +204,7 @@ def gen_uniform(S: int, mode: str = "equispaced",
                 seed: int = 0) -> CantorDust:
     """Uniform dust: equispaced midpoints (k+0.5)/S or S i.i.d. draws."""
     _check_count(S, 1, "sample size")
+    _check_integer(seed, "seed")
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     if mode == "equispaced":

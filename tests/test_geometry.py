@@ -1,16 +1,20 @@
 import copy
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from mfkappa import geometry
 from mfkappa.errors import MfkError
-from mfkappa.geometry import (FragmentReport, GeometryConfig, IsolatedPoint,
-                              SegmentReport, SpectrumFeatures,
-                              _line_fit_residual, _window_screen,
+from mfkappa.geometry import (_SCREEN_CELLS, FragmentReport, GeometryConfig,
+                              IsolatedPoint, SegmentReport, SpectrumFeatures,
+                              _line_fit_residual, _window_groups,
+                              _window_screen,
                               cap_shape_check, classify, compare_sweep,
                               default_gap_threshold, detect_fragments,
                               detect_segment, features)
@@ -256,6 +260,53 @@ def fuzz_spectra(seed, count):
         yield make_spectrum(alphas, fs), tol, int(rng.integers(1, 12))
 
 
+def screen_each_length(spectrum, residual_tol, min_run):
+    """detect_segment with one screen per run length, longest first: the
+    old==new reference for the one-pass screen. Returns the report and the
+    number of windows it fitted by polyfit."""
+    min_run = max(4, min_run)
+    alphas, fs = spectrum.alphas, spectrum.fs
+    n = fs.size
+    fits = 0
+    for length in range(n, min_run - 1, -1):
+        a = sliding_window_view(alphas, length)
+        f = sliding_window_view(fs, length)
+        da = a - a.mean(axis=1, keepdims=True)
+        df = f - f.mean(axis=1, keepdims=True)
+        slope = np.sum(da * df, axis=1) / np.sum(da * da, axis=1)
+        screened = np.max(np.abs(df - slope[:, None] * da), axis=1)
+        a_max = np.max(np.abs(a), axis=1)
+        scale = (np.max(np.abs(f), axis=1) + np.abs(slope) * a_max
+                 + a_max / (a[:, -1] - a[:, 0]) * screened)
+        margin = 16 * length ** 2 * np.finfo(float).eps * scale
+        hits = []
+        for i in np.flatnonzero(~(screened > residual_tol + margin)).tolist():
+            j = i + length - 1
+            slope, resid = _line_fit_residual(alphas[i:j + 1], fs[i:j + 1])
+            fits += 1
+            if resid <= residual_tol:
+                hits.append((resid, i, j, slope))
+        if hits:
+            resid, i, j, slope = min(hits)
+            return SegmentReport(found=True, run=(i, j), slope=slope,
+                                 residual=resid), fits
+    return SegmentReport(found=False), fits
+
+
+def count_calls(monkeypatch, name):
+    """Wrap geometry.<name> so that each call adds one to the returned
+    list's only entry."""
+    calls = [0]
+    fn = getattr(geometry, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
 class TestSegmentScreen:
     def test_matches_fitting_every_window(self):
         found = 0
@@ -270,13 +321,18 @@ class TestSegmentScreen:
         windows = 0
         for spec, _, _ in fuzz_spectra(32, 60):
             alphas, fs = spec.alphas, spec.fs
-            for length in range(4, fs.size + 1):
-                screened, margin = _window_screen(alphas, fs, length)
-                fitted = [_line_fit_residual(alphas[i:i + length],
-                                             fs[i:i + length])[1]
-                          for i in range(fs.size - length + 1)]
+            seen = 0
+            for length, start in _window_groups(fs.size, 4):
+                screened, margin = _window_screen(alphas, fs, length, start)
+                fitted = [_line_fit_residual(alphas[i:i + size],
+                                             fs[i:i + size])[1]
+                          for size, i in zip(length.tolist(),
+                                             start.tolist())]
                 assert np.all(np.abs(screened - fitted) <= margin)
-                windows += len(fitted)
+                seen += len(fitted)
+            longest = max(fs.size - 3, 0)  # n - L + 1 windows of each L >= 4
+            assert seen == longest * (longest + 1) // 2  # every window
+            windows += seen
         assert windows > 10_000
 
     def test_window_at_exactly_the_tolerance_is_kept(self):
@@ -292,8 +348,60 @@ class TestSegmentScreen:
             slope, tol = _line_fit_residual(alphas, fs)
             rep = detect_segment(spec, residual_tol=tol, min_run=n)
             assert astuple(rep) == (True, (0, n - 1), slope, tol)
-            screen_above += _window_screen(alphas, fs, n)[0][0] > tol
+            whole = _window_screen(alphas, fs, np.array([n]), np.array([0]))
+            screen_above += whole[0][0] > tol
         assert screen_above > 0  # the margin, not luck, kept some of them
+
+    def test_fits_as_many_windows_as_one_screen_per_length(self,
+                                                           monkeypatch):
+        calls = count_calls(monkeypatch, "_line_fit_residual")
+        total = 0
+        for spec, tol, min_run in fuzz_spectra(31, 400):
+            before = calls[0]
+            new = detect_segment(spec, tol, min_run)
+            ref, fits = screen_each_length(spec, tol, min_run)
+            assert astuple(new) == astuple(ref)
+            assert calls[0] - before == fits
+            total += fits
+        assert total > 100  # the screen passed windows on to polyfit
+
+    def test_long_spectrum_is_screened_within_the_cell_cap(self):
+        """n = 400 at min_run = 4 has W = 397 * 398 / 2 windows. Screened in
+        one pass, padded to 400 columns, they would fill 31.6e6 cells, about
+        250 MB per float array. Capped, the peak is the window list, four
+        int64 vectors of W entries while it is built (32 W bytes), plus one
+        group: three float arrays and a bool mask of at most _SCREEN_CELLS
+        cells (25 bytes a cell), and under 16 float vectors of one entry per
+        window, at most _SCREEN_CELLS / 4 windows as each is >= 4 wide (32
+        bytes a cell)."""
+        rng = np.random.default_rng(34)
+        n = 400
+        alphas = np.cumsum(rng.choice([0.05, 0.125, 0.25], n))
+        spec = make_spectrum(alphas, rng.random(n))
+        windows = (n - 3) * (n - 2) // 2
+        bound = 32 * windows + (25 + 32) * _SCREEN_CELLS
+        assert bound < 8 * windows * n / 10  # one uncapped array is 10x it
+        tracemalloc.start()
+        try:
+            rep = detect_segment(spec, 0.02, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert astuple(rep) == astuple(screen_each_length(spec, 0.02, 4)[0])
+        assert peak < bound
+
+    @pytest.mark.parametrize("n", [4, 19, 46, 53, 60])
+    def test_sweep_sized_spectrum_is_screened_in_one_call(self, n,
+                                                           monkeypatch):
+        """classify's default min_run, ceil(n / 2), over a spectrum of up to
+        60 points: every window is screened by one _window_screen call."""
+        calls = count_calls(monkeypatch, "_window_screen")
+        alphas = np.linspace(0.5, 1.5, n)
+        spec = make_spectrum(alphas, 1 - (alphas - 1) ** 2)
+        rep = classify(spec)
+        assert rep.config["min_run"] == max(4, math.ceil(n / 2))
+        assert not rep.segment.found  # so every length was screened
+        assert calls[0] == 1
 
 
 class TestFragments:

@@ -74,6 +74,19 @@ class TestSelfSimilarGen:
         d2 = gen_selfsimilar(spec)
         assert np.array_equal(d1.points, d2.points)
 
+    @pytest.mark.parametrize("field,value", [
+        ("depth", 4.5), ("depth", 4.0), ("depth", True),
+        ("seed", 0.5), ("seed", 1.0), ("seed", True)],
+        ids=["depth-float", "depth-whole-float", "depth-bool",
+             "seed-float", "seed-whole-float", "seed-bool"])
+    def test_a_depth_or_seed_that_is_not_an_integer_is_refused(self, field,
+                                                               value):
+        fields = {**MIDDLE_THIRD, "depth": 4, "S": 10, field: value}
+        with pytest.raises(SpecError, match=f"^{field} must be an integer, "
+                           f"got {value!r}$") as exc:
+            SelfSimilarSpec(**fields)
+        assert exc.value.exit_code == 2
+
     def test_depth_guard(self):
         with pytest.raises(SpecError, match="depth 200 underflows interval "
                            "lengths") as exc:
@@ -483,3 +496,11 @@ class TestUniform:
     def test_unknown_mode(self):
         with pytest.raises(SpecError):
             gen_uniform(10, "stratified")
+
+    @pytest.mark.parametrize("seed", [0.5, 4.0, True],
+                             ids=["float", "whole-float", "bool"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        with pytest.raises(SpecError, match=f"^seed must be an integer, "
+                           f"got {seed!r}$") as exc:
+            gen_uniform(10, "random", seed=seed)
+        assert exc.value.exit_code == 2

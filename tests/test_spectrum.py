@@ -265,11 +265,29 @@ def test_spectrum_takes_sizing_by_its_value():
     ({"S": True}, "S must be an integer, got True"),
     ({"B": False}, "B must be an integer, got False"),
     ({"A": True}, "A must be an integer, got True"),
+    ({"epsilon_alpha": True}, "epsilon_alpha must be a real number, got True"),
+    ({"epsilon_alpha": "0.1"},
+     "epsilon_alpha must be a real number, got '0.1'"),
+    ({"epsilon_alpha": None}, "epsilon_alpha must be a real number, got None"),
 ], ids=["sizing", "notes-as-a-string", "lengths", "2-D", "0-D", "lists",
-        "S-bool", "B-bool", "A-bool"])
+        "S-bool", "B-bool", "A-bool", "epsilon_alpha-bool",
+        "epsilon_alpha-str", "epsilon_alpha-None"])
 def test_spectrum_refuses_fields_it_cannot_hold(fields, message):
     with pytest.raises(FormatError, match=message):
         Spectrum(**{"alphas": ONE, "fs": ONE, **fields})
+
+
+@pytest.mark.parametrize("eps_a", [np.float64(0.1), np.float32(0.5), 1],
+                         ids=["float64", "float32", "int"])
+def test_epsilon_alpha_is_held_as_a_float(eps_a, tmp_path):
+    """A numpy or integer bin width is held as the float it equals, so the
+    CSV header holds a number that read_spectrum_csv reads back."""
+    spec = Spectrum(ONE, ONE, epsilon_alpha=eps_a)
+    assert type(spec.epsilon_alpha) is float
+    assert spec.epsilon_alpha == float(eps_a)
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, path)
+    assert read_spectrum_csv(path).epsilon_alpha == float(eps_a)
 
 
 @st.composite
