@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MfkError, SpecError
+from .measure import _check_integer, _check_real
 from .spectrum import Spectrum
 
 
@@ -62,11 +63,19 @@ class GeometryConfig:
     tol: float = 0.2                  # cap-shape noise tolerance in f units
 
     def __post_init__(self):
+        # held as Python numbers, which RegimeReport.to_json can write
         for name in ("residual_tol", "tol"):
-            value = getattr(self, name)
+            value = _check_real(getattr(self, name), name)
             if not 0 <= value < math.inf:  # NaN fails this too
                 raise SpecError(f"{name} must be finite and >= 0, "
                                 f"got {value}")
+            object.__setattr__(self, name, value)
+        if self.gap_threshold is not None:
+            object.__setattr__(self, "gap_threshold", _check_real(
+                self.gap_threshold, "gap_threshold"))
+        if self.min_run is not None:
+            _check_integer(self.min_run, "min_run")
+            object.__setattr__(self, "min_run", int(self.min_run))
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ separated, S >= B^2 and B >= A^2, with a tolerated band up to B <= 2*sqrt(S).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadBoxCount, FormatError, MfkError, SizingViolation
-from .measure import (CantorDust, NaturalMeasure, _check_count,
+from .measure import (CantorDust, NaturalMeasure, _check_count, _check_real,
                       atomic_write, cover, format_header, read_rows)
 
 
@@ -49,16 +48,13 @@ class Spectrum:
     def __post_init__(self):
         for name in ("S", "B", "A"):
             _check_count(getattr(self, name), 0, name, FormatError)
-        eps_a = self.epsilon_alpha
-        if isinstance(eps_a, bool) or not isinstance(eps_a, numbers.Real):
-            raise FormatError("epsilon_alpha must be a real number, "
-                              f"got {eps_a!r}")
+        # held as a float: the CSV header writes its repr, and numpy's
+        # np.float64(0.1) is not a number read_spectrum_csv takes
+        eps_a = _check_real(self.epsilon_alpha, "epsilon_alpha", FormatError)
         if not (math.isfinite(eps_a) and eps_a >= 0):
             raise FormatError("epsilon_alpha must be finite and >= 0, "
                               f"got {eps_a}")
-        # held as a float: the CSV header writes its repr, and numpy's
-        # np.float64(0.1) is not a number read_spectrum_csv takes
-        object.__setattr__(self, "epsilon_alpha", float(eps_a))
+        object.__setattr__(self, "epsilon_alpha", eps_a)
         a, f = self.alphas, self.fs
         if not (isinstance(a, np.ndarray) and isinstance(f, np.ndarray)
                 and a.ndim == 1 and f.shape == a.shape):

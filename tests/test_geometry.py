@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import asdict, astuple
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mfkappa import geometry
-from mfkappa.errors import MfkError
+from mfkappa.errors import MfkError, SpecError
 from mfkappa.geometry import (_SCREEN_CELLS, FragmentReport, GeometryConfig,
                               IsolatedPoint, SegmentReport, SpectrumFeatures,
                               _line_fit_residual, _window_groups,
@@ -497,6 +498,34 @@ class TestClassify:
         assert doc["regime"] == "Crisis"
         assert set(doc) >= {"regime", "features", "segment",
                             "fragmentation", "config"}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"min_run": 4.5}, "min_run must be an integer, got 4.5"),
+    ({"min_run": 5.0}, "min_run must be an integer, got 5.0"),
+    ({"min_run": True}, "min_run must be an integer, got True"),
+    ({"min_run": "5"}, "min_run must be an integer, got '5'"),
+    ({"gap_threshold": True}, "gap_threshold must be a real number, got True"),
+    ({"gap_threshold": "0.2"},
+     "gap_threshold must be a real number, got '0.2'"),
+    ({"residual_tol": "0.2"},
+     "residual_tol must be a real number, got '0.2'"),
+    ({"tol": False}, "tol must be a real number, got False"),
+], ids=["min_run-float", "min_run-whole-float", "min_run-bool", "min_run-str",
+        "gap-bool", "gap-str", "residual_tol-str", "tol-bool"])
+def test_config_refuses_a_field_it_cannot_use(fields, message):
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        GeometryConfig(**fields)
+
+
+def test_config_holds_numpy_numbers_as_python_numbers():
+    # to_json writes only Python numbers: np.int64 and np.float32 are not
+    cfg = GeometryConfig(residual_tol=np.float32(0.5), min_run=np.int64(5),
+                         gap_threshold=np.float32(0.25), tol=np.int64(1))
+    assert [type(v) for v in astuple(cfg)] == [float, int, float, float]
+    report = classify(cap_with_run(), cfg)
+    assert json.loads(report.to_json())["config"] == {
+        "residual_tol": 0.5, "min_run": 5, "gap_threshold": 0.25, "tol": 1.0}
 
 
 def test_kernel_defaults_are_geometry_configs():
