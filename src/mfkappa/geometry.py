@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MfkError, SpecError
-from .measure import _check_integer, _check_real
+from .measure import _check_count, _check_integer, _check_real
 from .spectrum import Spectrum
 
 
@@ -75,6 +75,8 @@ class GeometryConfig:
                 self.gap_threshold, "gap_threshold"))
         if self.min_run is not None:
             _check_integer(self.min_run, "min_run")
+            # raised to 4 where it is used, so only its size can be refused
+            _check_count(max(4, self.min_run), 4, "min_run")
             object.__setattr__(self, "min_run", int(self.min_run))
 
 

@@ -5,9 +5,10 @@ count B assigns each box the fraction of dust points it contains. Box i is
 [i/B, (i+1)/B) for i < B-1; the last box is closed so the total count is
 conserved with no double assignment.
 
-CantorDust sorts its points once, on construction, and every consumer
-relies on that order: cover finds the box boundaries by bisection on the
-sorted points, at O(B log S) cost rather than O(S).
+CantorDust puts its points in order once, on construction: it checks the
+order, and sorts only if needed. Every consumer relies on that order: cover
+finds the box boundaries by bisection on the sorted points, at O(B log S)
+cost rather than O(S).
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import numpy as np
 
 from .errors import BadBoxCount, FormatError, SpecError
 
-_CHUNK_LINES = 1 << 16  # write_dust's chunk: about 1.3 MB of dust text
+# points per chunk of write_dust (about 1.3 MB of dust text) and of
+# CantorDust's order check
+_CHUNK_LINES = 1 << 16
 
 
 # Each array a count sizes holds 8-byte items. numpy refuses one whose bytes
@@ -67,8 +70,13 @@ class CantorDust:
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0:
             raise FormatError("dust must contain at least one point")
-        pts = np.sort(pts)
-        if not (pts[0] >= 0.0 and pts[-1] <= 1.0):  # NaN sorts last
+        # checked a chunk at a time, with no S-byte temporary; NaN fails the
+        # check and sorts last. Either way the dust holds its own copy.
+        chunks = (pts[i:i + _CHUNK_LINES + 1]
+                  for i in range(0, pts.size, _CHUNK_LINES))
+        in_order = all((c[1:] >= c[:-1]).all() for c in chunks)
+        pts = np.array(pts) if in_order else np.sort(pts)
+        if not (pts[0] >= 0.0 and pts[-1] <= 1.0):
             raise FormatError("dust points must lie in [0,1]")
         object.__setattr__(self, "points", pts)
 

@@ -12,6 +12,8 @@ counts of 91-124 at Q=200, B=110. Uniform dusts give the trivial (1,1) case.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,8 @@ from .measure import CantorDust, _check_count, _check_integer
 _MAX_LOG_SHRINK = 690.0
 # cascade levels tabulated by _cascade_points: 2^16 paths, a 1 MB table
 _TABLE_LEVELS = 16
+# points a cascade block draws and codes at once: its buffers stay in cache
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -79,46 +83,148 @@ class OracleSpectrum:
     fs: np.ndarray
 
 
-def _cascade_points(spec: SelfSimilarSpec, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Sample n points i.i.d. from the depth-d cascade measure: walk d levels
-    choosing child 1 with probability p1, return final-interval midpoints.
-    Child 1 is left-aligned, child 2 right-aligned (middle gap).
+def _path_table(spec: SelfSimilarSpec) -> tuple[np.ndarray, np.ndarray]:
+    """lo and length of all 2^k paths through the first k =
+    min(depth, _TABLE_LEVELS) levels, level 0 the high bit of a path's code
+    and child 2 the set bit; each applies the walk's float operations in the
+    walk's order."""
+    r1, r2 = spec.r
+    lo, length = np.zeros(1), np.ones(1)
+    for _ in range(min(spec.depth, _TABLE_LEVELS)):
+        # path c's children sit at 2c (child 1) and 2c + 1
+        lo = np.stack([lo, lo + length * (1.0 - r2)], axis=1).ravel()
+        length = np.stack([length * r1, length * r2], axis=1).ravel()
+    return lo, length
 
-    A point depends only on its path, so the first k = min(d, _TABLE_LEVELS)
-    levels are tabulated once: lo and length of all 2^k paths, level 0 the
-    high bit and child 2 the set bit. Each level's draws u then extend an
-    integer path code, code = (code << 1) | (u >= p1), and the points are the
-    table's midpoints gathered at code. The table applies the walk's own
-    float operations in the walk's order, and the draws are the same
-    rng.random(n) calls in the same order, so each point is bit-identical to
-    walking it. Below level k the walk continues from the gathered lo and
-    length, in place, with the draw buffer as scratch.
+
+def _cascade_range(spec: SelfSimilarSpec, n: int, bits: np.random.PCG64,
+                   lo: np.ndarray | None, length: np.ndarray | None,
+                   a: int, b: int,
+                   out: np.ndarray | None) -> np.ndarray | None:
+    """Points [a, b) of _cascade_points's n, _BLOCK points at a time.
+
+    Level j's draw for point i is element j*n + i of the stream bits starts
+    at, so one generator per level, a copy of bits moved to j*n + a, draws
+    that level for the whole range. Each block codes its points' paths
+    through the table's k levels. With out None (depth k) it returns the
+    range's count per path code, and needs no table; otherwise it walks the
+    levels below k from its paths' lo and length and writes its points into
+    out, in draw order.
     """
     p1 = spec.p[0]
     r1, r2 = spec.r
     k = min(spec.depth, _TABLE_LEVELS)
-    lo, length = np.zeros(1), np.ones(1)
-    for _ in range(k):  # path c's children sit at 2c (child 1) and 2c + 1
-        lo = np.stack([lo, lo + length * (1.0 - r2)], axis=1).ravel()
-        length = np.stack([length * r1, length * r2], axis=1).ravel()
-    u = np.empty(n)
-    code = np.zeros(n, dtype=np.uint32)
-    for _ in range(k):
-        code <<= 1
-        code |= rng.random(out=u) >= p1
-    del u  # freed for the gather, where table, code, lo and length coexist
-    if k == spec.depth:
-        return (lo + 0.5 * length)[code]
-    lo, length = lo[code], length[code]
-    del code
-    u = np.empty(n)
-    for _ in range(spec.depth - k):
-        right = rng.random(out=u) >= p1
-        np.multiply(length, 1.0 - r2, out=u)
-        np.add(lo, u, out=lo, where=right)
-        length *= np.where(right, r2, r1)
-    return lo + 0.5 * length
+    draws = []
+    for j in range(spec.depth):
+        level = bits.jumped(0)  # a copy: bits itself does not move
+        level.advance(j * n + a)
+        draws.append(np.random.Generator(level).random)
+    u = np.empty(_BLOCK)
+    code = np.empty(_BLOCK, dtype=np.uint32)
+    counts = np.zeros(1 << k, dtype=np.int64) if out is None else None
+    for at in range(a, b, _BLOCK):
+        m = min(_BLOCK, b - at)
+        c, v = code[:m], u[:m]
+        c.fill(0)
+        for draw in draws[:k]:
+            c <<= 1
+            c |= draw(out=v) >= p1
+        if out is None:
+            counts += np.bincount(c, minlength=1 << k)
+            continue
+        x, dx = lo[c], length[c]
+        for draw in draws[k:]:
+            right = draw(out=v) >= p1
+            np.multiply(dx, 1.0 - r2, out=v)
+            np.add(x, v, out=x, where=right)
+            dx *= np.where(right, r2, r1)
+        np.add(x, 0.5 * dx, out=out[at:at + m])
+    return counts
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the platform
+    has one), which may be fewer than the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _cascade_points(spec: SelfSimilarSpec, n: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Sample n points i.i.d. from the depth-d cascade measure: walk d levels
+    choosing child 1 with probability p1, return final-interval midpoints.
+    Child 1 is left-aligned, child 2 right-aligned (middle gap). The points
+    are those of the walk that draws each level as one rng.random(n) call.
+    rng is read through copies of its bit generator and is not moved.
+
+    A point depends only on its path, so the first k = min(d, _TABLE_LEVELS)
+    levels are tabulated (_path_table). Level j's draw for point i is
+    element j*n + i of rng's stream, so [0, n) splits into one contiguous
+    range per CPU, each on its own thread (numpy draws and compares without
+    the GIL), and each range into blocks whose buffers stay in cache (see
+    _cascade_range). A block extends an integer path code per level,
+    code = (code << 1) | (u >= p1). No split changes a point.
+
+    With d <= _TABLE_LEVELS a point is its path's midpoint, so the blocks
+    only count points per path, and the output is each midpoint repeated by
+    its count, in code order. Code order is left to right, so that is the
+    walk's points sorted: every point is a midpoint > 0, so the multiset
+    fixes the sorted array. (CantorDust checks the order, so a table whose
+    rounding crossed two midpoints would still give the sorted dust.) The
+    table is built only once the counting is done, so it and the blocks'
+    buffers never coexist. With d > _TABLE_LEVELS the blocks walk on from
+    their paths' lo and length and write the points in draw order. The
+    n-point output is allocated before the first draw, so a sample too
+    large to hold fails at once.
+    """
+    out = np.empty(n)
+    below = out if spec.depth > _TABLE_LEVELS else None
+    lo, length = _path_table(spec) if below is not None else (None, None)
+    workers = max(1, min(_cpus(), n // (2 * _BLOCK)))
+    cuts = [n * i // workers for i in range(workers + 1)]
+    parts = [None] * workers
+
+    def sample(i):
+        return _cascade_range(spec, n, rng.bit_generator, lo, length,
+                              cuts[i], cuts[i + 1], below)
+
+    def run(i):  # on a thread: its exception is re-raised by the caller
+        try:
+            parts[i] = sample(i)
+        except BaseException as exc:
+            parts[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        parts[0] = sample(0)
+    finally:  # no thread outlives the call, nor writes out after it
+        for thread in threads:
+            thread.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    if below is not None:
+        return out
+    counts = parts[0]
+    for part in parts[1:]:
+        counts += part
+    del parts
+    lo, length = _path_table(spec)
+    mids = lo + 0.5 * length
+    del lo, length
+    used = np.flatnonzero(counts)
+    at = 0
+    for i in range(0, used.size, 1024):  # a few Python numbers at a time
+        some = used[i:i + 1024]
+        for mid, count in zip(mids[some].tolist(), counts[some].tolist()):
+            out[at:at + count] = mid
+            at += count
+    return out
 
 
 def gen_selfsimilar(spec: SelfSimilarSpec) -> CantorDust:

@@ -509,6 +509,7 @@ class TestErrorContract:
         ["analyze", "{dust}", "--boxes", "5000", "--bins", "0"],
         ["sweep", "{dust}", "--boxes", "5000,6000", "--bins", "-1",
          "--out-prefix", "{tmp}/sw"],
+        ["classify", "{csv}", "--min-run", "99999999999999999999"],
     ], ids=["bins-0", "boxes-not-int", "boxes-1", "gap-threshold-0",
             "segment-tol-nan", "cap-tol-nan", "segment-tol-negative",
             "cap-tol-negative", "segment-tol-inf", "cap-tol-inf",
@@ -520,7 +521,8 @@ class TestErrorContract:
             "selfsimilar-S-past-intp", "uniform-S-past-intp",
             "boxes-past-intp", "bins-past-intp", "sweep-boxes-past-intp",
             "farey-Q-past-intp", "boxes-1-unforced", "boxes-0",
-            "boxes-negative", "bins-0-violating", "sweep-bins-negative"])
+            "boxes-negative", "bins-0-violating", "sweep-bins-negative",
+            "min-run-past-intp"])
     def test_bad_flag_exits_2(self, argv, uniform_dust, tmp_path):
         csv = tmp_path / "spec.csv"
         csv.write_text("alpha,f\n0.9,0.3\n1.0,0.7\n1.1,0.2\n")

@@ -236,11 +236,9 @@ def test_dust_round_trip_is_bit_exact(tmp_path, dust):
     _, rows = read_rows(path)
     bits = dust.points.view(np.int64)
     assert np.array_equal(np.array(rows).view(np.int64), bits)  # in order
-    # CantorDust sorts again, and np.sort may swap -0.0 and 0.0, which
-    # compare equal: read_dust keeps the same points, signs included
-    back = read_dust(path).points
-    assert np.array_equal(np.sort(back.view(np.int64)), np.sort(bits))
-    assert np.signbit(back).sum() == np.signbit(dust.points).sum()
+    # the rows are in order already, so CantorDust keeps them as they are:
+    # -0.0 and 0.0 compare equal, and a sort could swap them
+    assert np.array_equal(read_dust(path).points.view(np.int64), bits)
 
 
 def runs_per_chunk(points):

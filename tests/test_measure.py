@@ -4,6 +4,7 @@ import stat
 import numpy as np
 import pytest
 
+from mfkappa import measure
 from mfkappa.errors import BadBoxCount, FormatError, SpecError
 from mfkappa.measure import (CantorDust, atomic_write, cover, read_dust,
                              write_dust)
@@ -16,6 +17,27 @@ def test_empty_signal_rejected():
                        match="dust must contain at least one point") as exc:
         CantorDust(np.array([]))
     assert exc.value.exit_code == 1
+
+
+C = measure._CHUNK_LINES  # CantorDust checks the order a chunk at a time
+EDGE = np.linspace(0.0, 1.0, C + 5)
+EDGE[[C - 1, C]] = EDGE[[C, C - 1]]  # its one descent crosses a chunk edge
+
+
+@pytest.mark.parametrize("points", [
+    np.linspace(0.0, 1.0, C + 5), np.array([-0.0, 0.0, -0.0, 0.5]),
+    np.array([0.5, 0.25, 1.0]), EDGE],
+    ids=["in-order", "signed-zeros-in-order", "out-of-order",
+         "descent-at-chunk-edge"])
+def test_dust_neither_aliases_nor_reorders_its_input(points):
+    given = points.copy()
+    dust = CantorDust(given)
+    assert not np.shares_memory(dust.points, given)
+    assert np.array_equal(given.view(np.int64), points.view(np.int64))
+    # input in order is kept bit for bit, -0.0 and 0.0 included
+    want = points if (points[1:] >= points[:-1]).all() else np.sort(points)
+    assert np.array_equal(dust.points.view(np.int64), want.view(np.int64))
+    assert (dust.points[1:] >= dust.points[:-1]).all()
 
 
 def test_cover_direct_count():

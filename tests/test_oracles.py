@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
@@ -6,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mfkappa import oracles
 from mfkappa.errors import SpecError
 from mfkappa.measure import _MAX_COUNT, CantorDust
-from mfkappa.oracles import (_TABLE_LEVELS, SelfSimilarSpec, _cascade_points,
+from mfkappa.oracles import (_BLOCK, _TABLE_LEVELS, SelfSimilarSpec,
+                             _cascade_points, _cascade_range, _path_table,
                              gen_farey, gen_selfsimilar, gen_superposed,
                              gen_uniform, oracle_spectrum)
 
@@ -148,16 +151,84 @@ def _bits(points):
 
 
 class TestCascadeSampler:
-    """The path-table sampler reproduces the level-by-level walk bit for
-    bit, in draw order, at no more peak memory."""
+    """The blocked, threaded sampler gives the dust of the level-by-level
+    walk bit for bit, in draw order below the table, for any split of its
+    points, at no more peak memory."""
 
     @pytest.mark.parametrize("S", [1, 7, 100_000])
     @pytest.mark.parametrize("name", WALK_SPECS)
     def test_equals_walk_in_draw_order(self, name, S):
+        # the sampler draws the walk's stream, point i of level j at element
+        # j*S + i. Below the table it writes the points in draw order; within
+        # it, it returns them grouped by path, so there what it shares with
+        # the walk is the dust every caller receives: the walk's points,
+        # sorted
         spec = _walk_spec(name, S, seed=S % 5)
-        new = _cascade_points(spec, S, np.random.default_rng(spec.seed))
         ref = _walk_points(spec, S, np.random.default_rng(spec.seed))
+        if spec.depth > _TABLE_LEVELS or S == 1:
+            new = _cascade_points(spec, S, np.random.default_rng(spec.seed))
+            assert np.array_equal(_bits(new), _bits(ref))
+        else:
+            dust = gen_selfsimilar(spec)
+            assert np.array_equal(_bits(dust.points), _bits(np.sort(ref)))
+
+    @pytest.mark.parametrize("name", ["unequal-ratios", "below-table"])
+    def test_a_split_of_the_points_changes_no_count_or_point(self, name):
+        spec = _walk_spec(name, 3 * _BLOCK + 11, seed=4)
+        n, cut = spec.S, _BLOCK + 1000  # inside the second block
+        bits = np.random.PCG64(spec.seed)
+        lo, length = _path_table(spec)
+        outs = [np.empty(n) if spec.depth > _TABLE_LEVELS else None
+                for _ in range(2)]
+        whole = _cascade_range(spec, n, bits, lo, length, 0, n, outs[0])
+        split = [_cascade_range(spec, n, bits, lo, length, a, b, outs[1])
+                 for a, b in ((0, cut), (cut, n))]
+        if outs[0] is None:
+            assert np.array_equal(whole, split[0] + split[1])
+            assert whole.sum() == n
+        else:
+            assert np.array_equal(_bits(outs[0]), _bits(outs[1]))
+            ref = _walk_points(spec, n, np.random.default_rng(spec.seed))
+            assert np.array_equal(_bits(outs[0]), _bits(ref))  # draw order
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("name", ["unequal-ratios", "below-table"])
+    def test_threads_change_no_point(self, monkeypatch, name, cpus):
+        # 6 blocks and 5 points: three threads, whose ranges cut blocks
+        monkeypatch.setattr(oracles, "_cpus", lambda: cpus)
+        spec = _walk_spec(name, 6 * _BLOCK + 5, seed=3)
+        ref = _walk_points(spec, spec.S, np.random.default_rng(3))
+        new = _cascade_points(spec, spec.S, np.random.default_rng(3))
+        if spec.depth <= _TABLE_LEVELS:  # counted: the sorted walk
+            ref = np.sort(ref)
         assert np.array_equal(_bits(new), _bits(ref))
+
+    def test_a_thread_that_fails_fails_the_sample(self, monkeypatch):
+        def fail_past_zero(spec, n, bits, lo, length, a, b, out):
+            if a > 0:
+                raise MemoryError("range past 0")
+
+        monkeypatch.setattr(oracles, "_cpus", lambda: 2)
+        monkeypatch.setattr(oracles, "_cascade_range", fail_past_zero)
+        spec = _walk_spec("binomial", 4 * _BLOCK)
+        with pytest.raises(MemoryError, match="range past 0"):
+            _cascade_points(spec, spec.S, np.random.default_rng(0))
+
+    def test_a_failing_first_range_waits_for_the_others(self, monkeypatch):
+        done = []
+
+        def fail_at_zero(spec, n, bits, lo, length, a, b, out):
+            if a == 0:
+                raise MemoryError("range 0")
+            time.sleep(0.2)
+            done.append(a)
+
+        monkeypatch.setattr(oracles, "_cpus", lambda: 3)
+        monkeypatch.setattr(oracles, "_cascade_range", fail_at_zero)
+        spec = _walk_spec("binomial", 6 * _BLOCK)
+        with pytest.raises(MemoryError, match="range 0"):
+            _cascade_points(spec, spec.S, np.random.default_rng(0))
+        assert sorted(done) == [2 * _BLOCK, 4 * _BLOCK]
 
     @pytest.mark.parametrize("S", [1, 7, 100_000])
     def test_superposed_disjoint_equals_walk(self, S):
@@ -171,7 +242,8 @@ class TestCascadeSampler:
         dust = gen_superposed(a, b, 0.3, disjoint=True)
         assert np.array_equal(_bits(dust.points), _bits(ref.points))
 
-    @pytest.mark.parametrize("name", ["unequal-ratios", "below-table"])
+    @pytest.mark.parametrize("name", ["unequal-ratios", "table-depth",
+                                      "below-table"])
     def test_peak_memory_within_walk(self, name):
         spec = _walk_spec(name, 100_000)
         peaks = []
