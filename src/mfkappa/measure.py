@@ -6,9 +6,12 @@ count B assigns each box the fraction of dust points it contains. Box i is
 conserved with no double assignment.
 
 CantorDust puts its points in order once, on construction: it checks the
-order, and sorts only if needed. Every consumer relies on that order: cover
-finds the box boundaries by bisection on the sorted points, at O(B log S)
-cost rather than O(S).
+order, and sorts only if needed. Every consumer relies on that order. A
+point's box key int(p*B) never decreases in p, so the points keyed below i
+are the points below the first double whose key reaches i (see cover).
+cover finds those first keys by one search of the sorted points, at
+O(B log S) cost rather than O(S), and covers finds the first keys of every
+box count of a sweep in one merged search.
 """
 
 from __future__ import annotations
@@ -101,32 +104,88 @@ class NaturalMeasure:
         return self.counts / self.counts.sum()
 
 
+# Box edges that covers merges into one search, unless the largest B has
+# more: a sweep's memory follows its largest B, not the sum of its Bs.
+_BATCH_EDGES = 1 << 20
+
+
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     """Cover [0,1] with B equal boxes and count dust points per box.
 
     A point p lies in box min(int(p*B), B-1). Multiplying by B is monotone
     under IEEE rounding, so that key never decreases along the sorted
-    points CantorDust guarantees: box i holds the points from the first
-    whose key is >= i up to the first whose key is >= i+1. One bisection,
-    vectorised over i = 0..B, finds those indices in O(B log S) work
-    instead of keying all S points. It bisects on the key itself, not on
-    the edge i/B, so points on an edge, at 1.0 or an ulp off an edge land
-    in the box the key gives them. Multiplying by 2 commutes with IEEE
-    rounding, so cover(dust, 2B) refines cover(dust, B) exactly.
+    points CantorDust guarantees. So the points keyed below i, for
+    0 < i < B, are exactly the points below t_i, the least double whose
+    key is >= i: box i holds the points from the first >= t_i up to the
+    first >= t_(i+1). One search of the t_i finds them in O(B log S) work
+    instead of keying all S points. Each t_i is found from the key itself
+    (see _first_keys), not from the edge i/B, so the counts are exactly
+    those of keying every point: points on an edge, at 1.0 or an ulp off
+    an edge land in the box the key gives them; no point keys below 0, and
+    the clamp puts p == 1.0 in the closed last box. Multiplying by 2
+    commutes with IEEE rounding, so cover(dust, 2B) still refines
+    cover(dust, B) exactly.
     """
-    _check_count(B, 2, "box count", BadBoxCount)
-    points = dust.points
-    S = points.size
-    boxes = np.arange(B + 1)
-    below = np.zeros(B + 1, dtype=np.int64)  # points known to key below i
-    step = 1 << (S.bit_length() - 1)  # largest power of two <= S
-    while step:
-        probe = below + step
-        key = (points[np.minimum(probe, S) - 1] * B).astype(np.int64)
-        np.minimum(key, B - 1, out=key)  # p == 1.0 goes to the closed last box
-        below = np.where((probe <= S) & (key < boxes), probe, below)
-        step >>= 1
-    return NaturalMeasure(np.diff(below))
+    (measure,) = covers(dust, [B])
+    return measure
+
+
+def covers(dust: CantorDust, B_list):
+    """Yield cover(dust, B) for each B of B_list, in order.
+
+    The inner edges t_i of every B are merged into one sorted array and
+    found by one search of the dust, so needles that sit close together
+    read the same stretch of points. The search runs once per batch of at
+    most _BATCH_EDGES edges, or of the largest B's edges if it has more.
+    """
+    B_list = list(B_list)
+    for B in B_list:
+        _check_count(B, 2, "box count", BadBoxCount)
+    cap = max([_BATCH_EDGES, *(B - 1 for B in B_list)])
+    batch, edges = [], 0
+    for B in B_list:
+        if edges + B - 1 > cap:
+            yield from _cover_batch(dust.points, batch)
+            batch, edges = [], 0
+        batch.append(B)
+        edges += B - 1
+    if batch:
+        yield from _cover_batch(dust.points, batch)
+
+
+def _first_keys(i: np.ndarray, B) -> np.ndarray:
+    """For each whole number i >= 1 in the float array i, the least double
+    t whose key int(t*B), with t*B the float product, is >= i; B
+    broadcasts with i. As i is whole, the key reaches i when t*B does.
+
+    i/B lies an ulp or so from it. Stepping up an ulp while t*B falls
+    short of i, then down while t*B an ulp lower still reaches i, lands on
+    it exactly from any start, as t*B never decreases in t. Positive
+    doubles order as their bits, so a step of one ulp is a step of 1 in the
+    bits.
+    """
+    bits = (i / B).view(np.int64)
+    while (low := bits.view(float) * B < i).any():
+        bits += low
+    while (high := (bits - 1).view(float) * B >= i).any():
+        bits -= high
+    return bits.view(float)
+
+
+def _cover_batch(points: np.ndarray, B_list):
+    """Yield the NaturalMeasure of each B of B_list over the sorted points,
+    from one search of every inner edge of every B."""
+    inner = [B - 1 for B in B_list]
+    keys = _first_keys(np.concatenate([np.arange(1.0, B) for B in B_list]),
+                       np.repeat(np.array(B_list, dtype=float), inner))
+    order = np.argsort(keys, kind="stable")  # a merge of sorted runs
+    found = np.searchsorted(points, keys[order])
+    del keys  # none of these is held while the measures are yielded
+    below = np.empty_like(found)  # points keyed below each edge
+    below[order] = found
+    del order, found
+    for run in np.split(below, np.cumsum(inner[:-1])):
+        yield NaturalMeasure(np.diff(run, prepend=0, append=points.size))
 
 
 # --- file formats ---------------------------------------------------------

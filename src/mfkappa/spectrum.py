@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadBoxCount, FormatError, MfkError, SizingViolation
 from .measure import (CantorDust, NaturalMeasure, _check_count, _check_real,
-                      atomic_write, cover, format_header, read_rows)
+                      atomic_write, cover, covers, format_header, read_rows)
 
 
 class SizingStatus(str, Enum):
@@ -155,15 +155,29 @@ def auto_size(S: int) -> tuple[int, int]:
     return B, min(max(3, root - 1), root)
 
 
+def _sizing(S: int, B: int, A: int,
+            force: bool) -> tuple[SizingStatus, tuple[str, ...]]:
+    """validate_sizing's verdict, refusing a Violation unless force is set."""
+    status, notes = validate_sizing(S, B, A)
+    if status is SizingStatus.VIOLATION and not force:
+        raise SizingViolation("; ".join(notes))
+    return status, notes
+
+
+def _spectrum(measure: NaturalMeasure, S: int, A: int, sizing) -> Spectrum:
+    """Alpha field and histogram of a cover of S points, carrying S and the
+    (status, notes) sizing verdict."""
+    status, notes = sizing
+    spec = histogram_spectrum(alpha_field(measure), measure.box_count, A)
+    return replace(spec, S=S, sizing=status, sizing_notes=notes)
+
+
 def estimate(dust: CantorDust, B: int, A: int, force: bool = False) -> Spectrum:
     """Full pipeline: cover, alpha field, histogram. Refuses sizing Violations
     unless force is set; the spectrum carries S and the sizing verdict."""
-    status, notes = validate_sizing(dust.sample_size, B, A)
-    if status is SizingStatus.VIOLATION and not force:
-        raise SizingViolation("; ".join(notes))
-    spec = histogram_spectrum(alpha_field(cover(dust, B)), B, A)
-    return replace(spec, S=dust.sample_size, sizing=status,
-                   sizing_notes=notes)
+    S = dust.sample_size
+    sizing = _sizing(S, B, A, force)
+    return _spectrum(cover(dust, B), S, A, sizing)
 
 
 @dataclass(frozen=True)
@@ -176,15 +190,21 @@ class SweepEntry:
 def sweep_boxes(dust: CantorDust, B_list, A: int,
                 force: bool = False) -> list[SweepEntry]:
     """Estimate one spectrum per distinct B and return one entry per listed
-    B, a repeated B sharing its entry. A refusal of one B (its sizing or its
-    box count) is recorded in its entry and the sweep goes on; any other
-    error, such as a bad bin count, applies to every B and is raised."""
-    done = {}
+    B, a repeated B sharing its entry. Each B is sized first, in order: a
+    refusal of one B (its sizing or its box count) is recorded in its entry
+    and the sweep goes on; any other error, such as a bad bin count,
+    applies to every B and is raised. The Bs that size are then covered
+    together (see covers), and each spectrum is built as estimate builds
+    it."""
+    S = dust.sample_size
+    done, sized = {}, {}
     for B in dict.fromkeys(B_list):
         try:
-            done[B] = SweepEntry(B, estimate(dust, B, A, force=force))
+            sized[B] = _sizing(S, B, A, force)
         except (SizingViolation, BadBoxCount) as exc:
             done[B] = SweepEntry(B, None, exc)
+    for (B, sizing), measure in zip(sized.items(), covers(dust, sized)):
+        done[B] = SweepEntry(B, _spectrum(measure, S, A, sizing))
     return [done[B] for B in B_list]
 
 

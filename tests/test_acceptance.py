@@ -141,6 +141,8 @@ class TestCriterion3BinomialOracle:
         0.10 is a factor B^0.1 = 1.58 in the bin count). A bin the exact
         measure leaves empty gives an infinite distance. Seed 0 gives 0.037;
         seeds 0-9 give at most 0.111 (seed 7), so the margin is thin.
+        Over seeds 0-199 the distance is <= 0.10 on 145 (72%), with a
+        median of 0.062; one seed gives an infinite distance.
         """
         B, A = self.est.B, self.est.A
         eps = self.est.epsilon_alpha
@@ -211,6 +213,8 @@ class TestCriterion5BiMultifractal:
             p=(0.5, 0.5), r=(r, r), depth=8, S=S, seed=seed)
 
     def test_superposed_classifies_postcrisis(self):
+        """Over seeds 0-199 the superposed dust reads PostCrisis with at
+        least two fragments on 200 of 200 seeds."""
         a, b = self.component(1 / 3), self.component(1 / 9)
         hits = 0
         for seed in range(10):
@@ -224,6 +228,10 @@ class TestCriterion5BiMultifractal:
 
     @pytest.mark.parametrize("r", [1 / 3, 1 / 9])
     def test_component_alone_is_precrisis(self, r):
+        """Over seeds 0-199, r = 1/3 reads PreCrisis on 136 (68%),
+        Indeterminate on 57 and Crisis on 7; r = 1/9 reads PreCrisis on 160
+        (80%) and Crisis on 40. At those rates 8 of 10 seeds hold with
+        probability 0.33 and 0.68; seeds 0-9 give 8 and 9."""
         comp = self.component(r)
         hits = 0
         for seed in range(10):

@@ -5,16 +5,21 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfkappa
 from mfkappa import errors
 from mfkappa.cli import build_parser, main
-from mfkappa.measure import _MAX_COUNT, read_rows, write_dust
+from mfkappa.measure import (_MAX_COUNT, covers, read_dust, read_rows,
+                              write_dust)
 from mfkappa.oracles import gen_uniform
-from mfkappa.spectrum import estimate, write_spectrum_csv
+from mfkappa.spectrum import (estimate, read_spectrum_csv,
+                              write_spectrum_csv)
 
 
 def run(*argv):
@@ -396,17 +401,84 @@ class TestSweep:
 
     def test_repeated_box_count_is_estimated_once(self, uniform_dust,
                                                   tmp_path, monkeypatch):
-        calls = []
+        # the sweep covers every box count in one call: a repeated B is
+        # passed to it once, and its CSV is written once
+        covered, written = [], []
 
-        def counted(dust, B, A, force=False):
-            calls.append(B)
-            return estimate(dust, B, A, force=force)
+        def counted_covers(dust, B_list):
+            covered.append(list(B_list))
+            return covers(dust, B_list)
 
-        monkeypatch.setattr("mfkappa.spectrum.estimate", counted)
+        def counted_write(spec, path):
+            written.append(path)
+            write_spectrum_csv(spec, path)
+
+        monkeypatch.setattr("mfkappa.spectrum.covers", counted_covers)
+        monkeypatch.setattr("mfkappa.spectrum.write_spectrum_csv",
+                            counted_write)
         assert run("sweep", str(uniform_dust), "--boxes", "100,100",
                    "--bins", "9", "--out-prefix",
                    str(tmp_path / "sw")) == 0
-        assert calls == [100]
+        assert covered == [[100]]
+        assert written == [str(tmp_path / "sw_B100.csv")]
+
+
+# --boxes entries: 0, 1, 2, small counts, negatives, counts past the array
+# bound, an underscore, Arabic-Indic and full-width digits (which int()
+# reads), an empty entry and a word; never a count that allocates much
+BOX_ENTRIES = st.one_of(
+    st.integers(2, 120).map(str),
+    st.sampled_from(["0", "1", "2", "-1", "-100", "", "1_0", "\u0661\u0660",
+                     "\uff12\uff10", "5000", "x", str(_MAX_COUNT + 1),
+                     str(10 ** 23)]))
+BIN_VALUES = st.one_of(
+    st.none(), st.integers(1, 12).map(str),
+    st.sampled_from(["0", "-1", "1_0", "\u0663", "", "2.5",
+                     str(_MAX_COUNT + 1)]))
+
+
+@pytest.fixture(scope="module")
+def small_dust(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "dust.txt"
+    write_dust(gen_uniform(400, "random", seed=3), path)
+    return path
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(boxes=st.lists(BOX_ENTRIES, max_size=6), bins=BIN_VALUES,
+       force=st.booleans(), joined=st.booleans())
+def test_sweep_fuzz_exits_with_a_code_and_writes_what_estimate_gives(
+        small_dust, boxes, bins, force, joined):
+    """mfk sweep on drawn --boxes lists and --bins values, with and without
+    --force, on a 400-point dust: main returns an exit code, 0 to 3, and
+    every spectrum CSV a successful sweep writes reads back as estimate's
+    spectrum at its B. Time budget: 10 s; 150 examples take about 2 s."""
+    boxes = ",".join(boxes)
+    with tempfile.TemporaryDirectory() as out:
+        prefix = os.path.join(out, "sw")
+        argv = ["sweep", str(small_dust), "--out-prefix", prefix]
+        argv += [f"--boxes={boxes}"] if joined else ["--boxes", boxes]
+        argv += [] if bins is None else [f"--bins={bins}"]
+        argv += ["--force"] if force else []
+        code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            return
+        with open(prefix + "_report.json") as fh:
+            report = json.load(fh)
+        dust = read_dust(small_dust)
+        for entry in report["entries"]:
+            assert (entry["csv"] is None) != (entry["error"] is None)
+            if entry["csv"] is None:
+                continue
+            back = read_spectrum_csv(entry["csv"])
+            spec = estimate(dust, entry["B"], report["A"], force=force)
+            assert back.alphas.tobytes() == spec.alphas.tobytes()
+            assert back.fs.tobytes() == spec.fs.tobytes()
+            assert (back.S, back.B, back.A, back.epsilon_alpha, back.sizing,
+                    back.sizing_notes) == (
+                spec.S, spec.B, spec.A, spec.epsilon_alpha, spec.sizing,
+                spec.sizing_notes)
 
 
 class TestPlot:

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mfkappa import measure
 from mfkappa.errors import (BadBoxCount, FormatError, MfkError,
                             SizingViolation, SpecError)
-from mfkappa.measure import CantorDust, cover
+from mfkappa.measure import CantorDust, cover, covers
 from mfkappa.oracles import SelfSimilarSpec, gen_uniform, oracle_spectrum
 from mfkappa.spectrum import (SizingStatus, Spectrum, alpha_field, auto_size,
                               estimate, histogram_spectrum,
@@ -162,6 +164,11 @@ class TestEstimate:
             assert np.all(spec.fs <= 1.0 + 1e-12)
 
 
+# the box counts of the sweep-1e7 benchmark: 11 from A^2 to 2 sqrt(S)
+SWEEP_1E7_BOXES = [3025, 3256, 3505, 3774, 4062, 4373, 4708, 5068, 5456,
+                   5874, 6324]
+
+
 class TestSweep:
     def test_singleton_equals_estimate(self):
         dust = gen_uniform(10_000)
@@ -197,12 +204,56 @@ class TestSweep:
         assert [e.B for e in entries] == [150, 100]
 
     def test_programming_error_propagates(self, monkeypatch):
+        # an error raised while the sized box counts are covered is not a
+        # refusal of one B, so it is not recorded in an entry
         def broken(*args, **kwargs):
             raise TypeError("not a sizing failure")
+            yield
 
-        monkeypatch.setattr("mfkappa.spectrum.estimate", broken)
+        monkeypatch.setattr("mfkappa.spectrum.covers", broken)
         with pytest.raises(TypeError):
-            sweep_boxes(gen_uniform(10_000), [100], 9)
+            sweep_boxes(gen_uniform(10_000), [5000, 100], 9)
+
+    @pytest.mark.parametrize("B_list, searches", [
+        (SWEEP_1E7_BOXES, 1),
+        ([2**20 + 1, 2**20, 2], 2),  # past one batch of edges
+    ], ids=["eleven-Bs", "two-batches"])
+    def test_dust_is_searched_once_per_batch_of_edges(self, monkeypatch,
+                                                     B_list, searches):
+        # counts searches instead of timing them: the sweep's box counts
+        # share one search of the dust per batch of edges, not one per B
+        dust = gen_uniform(10_000, "random", seed=5)
+        calls = []
+        search = np.searchsorted
+
+        def counted(a, *args, **kwargs):
+            calls.append(a is dust.points)
+            return search(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        entries = sweep_boxes(dust, B_list, 3, force=True)
+        assert calls == [True] * searches
+        for e in entries:
+            assert np.array_equal(e.spectrum.fs,
+                                  estimate(dust, e.B, 3, force=True).fs)
+
+    def test_peak_memory_follows_the_largest_box_count(self):
+        """A sweep of four box counts near 2^20 takes at most 1.5 times
+        the peak memory of one cover at the largest: each B is its own
+        batch of edges. Covering them all at once would take about 4
+        times; measured, the sweep takes 1.2 times."""
+        dust = CantorDust(np.random.default_rng(0).random(1000))
+        B_list = [2**20 + 1, 2**20, 2**20 - 1, 2**20 - 2]
+        peaks = []
+        for run in (lambda: cover(dust, max(B_list)),
+                    lambda: sweep_boxes(dust, B_list, 3, force=True)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("make", [
@@ -309,16 +360,28 @@ def bincount_cover(dust, B):
     return np.bincount(idx, minlength=B)
 
 
-def assert_cover_matches_bincount(dust, B):
-    counts = cover(dust, B).counts
-    expected = bincount_cover(dust, B)
-    assert counts.dtype == expected.dtype
-    assert np.array_equal(counts, expected)
+def assert_cover_matches_bincount(dust, B_list):
+    """cover at each B, and covers over the whole list at once, count what
+    bincount_cover counts."""
+    B_list = list(B_list)
+    measures = list(covers(dust, B_list))
+    assert len(measures) == len(B_list)
+    for B, m in zip(B_list, measures):
+        expected = bincount_cover(dust, B)
+        for counts in (cover(dust, B).counts, m.counts):
+            assert counts.dtype == expected.dtype
+            assert np.array_equal(counts, expected), B
 
 
-@given(edge_dusts())
-def test_cover_matches_bincount_on_edge_dusts(dust_and_B):
-    assert_cover_matches_bincount(*dust_and_B)
+def swept(B):
+    """B in a sweep that repeats it, is unsorted and holds B = 2."""
+    return [B, 1000, 2, 7, 64, B]
+
+
+@given(edge_dusts(), st.lists(st.integers(2, 64), max_size=6))
+def test_cover_matches_bincount_on_edge_dusts(dust_and_B, others):
+    dust, B = dust_and_B
+    assert_cover_matches_bincount(dust, [B, *others, B])
 
 
 @pytest.mark.parametrize("points, B", [
@@ -327,25 +390,47 @@ def test_cover_matches_bincount_on_edge_dusts(dust_and_B):
     ([1.0] * 5, 4),                  # all points at the closed end
     ([0.0] * 3 + [1.0] * 3, 1000),   # B > S: the forced path
     (np.arange(4) / 17, 1000),
-], ids=["S-1", "all-equal", "all-at-one", "ends-B-gt-S", "edges-B-gt-S"])
+    ([-0.0, 0.0, 1.0], 2),           # signed zeros and the closed end
+], ids=["S-1", "all-equal", "all-at-one", "ends-B-gt-S", "edges-B-gt-S",
+        "signed-zeros"])
 def test_cover_matches_bincount_on_degenerate_dusts(points, B):
-    assert_cover_matches_bincount(CantorDust(np.array(points, float)), B)
+    assert_cover_matches_bincount(CantorDust(np.array(points, float)),
+                                  swept(B))
 
 
 @pytest.mark.parametrize("B", [2, 3, 7, 10, 64, 1000])
 def test_cover_matches_bincount_an_ulp_off_every_edge(B):
-    edges = np.arange(B + 1) / B
+    # an ulp off every edge of every B in the sweep
+    edges = np.concatenate([np.arange(b + 1) / b for b in swept(B)])
     points = np.concatenate([edges, np.nextafter(edges, -1.0),
                              np.nextafter(edges, 2.0)])
     dust = CantorDust(np.clip(points, 0.0, 1.0))
-    assert_cover_matches_bincount(dust, B)
+    assert_cover_matches_bincount(dust, swept(B))
 
 
 @pytest.mark.parametrize("B", [2, 81, 1000, 2049])
 def test_cover_matches_bincount_at_large_S(B):
     rng = np.random.default_rng(B)
     dust = CantorDust(rng.random(2**20 + 3) ** 2)  # S not a power of two
-    assert_cover_matches_bincount(dust, B)
+    assert_cover_matches_bincount(dust, swept(B))
+
+
+def test_first_keys_are_the_least_doubles_that_key_each_edge():
+    """t_i is the least double whose key int(t*B) reaches i: every i of
+    every B up to 3000, and for 200 random B up to 2^26 the first and last
+    64 edges with 2000 edges drawn between them."""
+    def check(i, B):
+        t = measure._first_keys(i.astype(float), B)
+        assert np.all(t * B >= i), B
+        assert np.all(np.nextafter(t, -np.inf) * B < i), B
+
+    for B in range(2, 3001):
+        check(np.arange(1, B), B)
+    rng = np.random.default_rng(26)
+    for B in rng.integers(3001, 2**26, size=200).tolist():
+        ends = np.arange(1, 65)
+        check(np.concatenate([ends, B - ends,
+                              rng.integers(65, B - 64, size=2000)]), B)
 
 
 @given(edge_dusts(), st.integers(1, 12))
