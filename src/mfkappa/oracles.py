@@ -186,25 +186,19 @@ def _cascade_points(spec: SelfSimilarSpec, n: int,
     cuts = [n * i // workers for i in range(workers + 1)]
     parts = [None] * workers
 
-    def sample(i):
-        return _cascade_range(spec, n, rng.bit_generator, lo, length,
-                              cuts[i], cuts[i + 1], below)
-
     def run(i):  # on a thread: its exception is re-raised by the caller
         try:
-            parts[i] = sample(i)
+            parts[i] = _cascade_range(spec, n, rng.bit_generator, lo, length,
+                                      cuts[i], cuts[i + 1], below)
         except BaseException as exc:
             parts[i] = exc
 
     threads = [threading.Thread(target=run, args=(i,))
-               for i in range(1, workers)]
+               for i in range(workers)]
     for thread in threads:
         thread.start()
-    try:
-        parts[0] = sample(0)
-    finally:  # no thread outlives the call, nor writes out after it
-        for thread in threads:
-            thread.join()
+    for thread in threads:  # every part is in before one is read
+        thread.join()
     for part in parts:
         if isinstance(part, BaseException):
             raise part

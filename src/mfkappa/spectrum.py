@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadBoxCount, FormatError, MfkError, SizingViolation
 from .measure import (CantorDust, NaturalMeasure, _check_count, _check_real,
-                      atomic_write, cover, covers, format_header, read_rows)
+                      atomic_write, covers, format_header, read_rows)
 
 
 class SizingStatus(str, Enum):
@@ -62,10 +62,17 @@ class Spectrum:
                 "alphas and fs must be 1-D arrays of one length, got "
                 f"{type(a).__name__} {np.shape(a)} and "
                 f"{type(f).__name__} {np.shape(f)}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))
-                and np.all(np.diff(a) > 0)):
-            raise FormatError("spectrum points must be finite, with "
-                              "strictly increasing alphas")
+        # finite, and within half the float range of one another and of 0
+        # and 1, which a plot takes too (svgplot._limits): no difference of
+        # two values, the alpha span among them, nor a plot's margins can
+        # overflow to inf. Python floats overflow without a warning.
+        lo = np.minimum(a.min(initial=0.0), f.min(initial=0.0))  # NaN stays
+        hi = np.maximum(a.max(initial=1.0), f.max(initial=1.0))
+        if not (float(hi) - float(lo) <= np.finfo(float).max / 2
+                and np.all(a[1:] > a[:-1])):
+            raise FormatError("spectrum points must be finite, within half "
+                              "the float range, with strictly increasing "
+                              "alphas")
         try:
             object.__setattr__(self, "sizing", SizingStatus(self.sizing))
         except ValueError:
@@ -155,29 +162,14 @@ def auto_size(S: int) -> tuple[int, int]:
     return B, min(max(3, root - 1), root)
 
 
-def _sizing(S: int, B: int, A: int,
-            force: bool) -> tuple[SizingStatus, tuple[str, ...]]:
-    """validate_sizing's verdict, refusing a Violation unless force is set."""
-    status, notes = validate_sizing(S, B, A)
-    if status is SizingStatus.VIOLATION and not force:
-        raise SizingViolation("; ".join(notes))
-    return status, notes
-
-
-def _spectrum(measure: NaturalMeasure, S: int, A: int, sizing) -> Spectrum:
-    """Alpha field and histogram of a cover of S points, carrying S and the
-    (status, notes) sizing verdict."""
-    status, notes = sizing
-    spec = histogram_spectrum(alpha_field(measure), measure.box_count, A)
-    return replace(spec, S=S, sizing=status, sizing_notes=notes)
-
-
 def estimate(dust: CantorDust, B: int, A: int, force: bool = False) -> Spectrum:
-    """Full pipeline: cover, alpha field, histogram. Refuses sizing Violations
-    unless force is set; the spectrum carries S and the sizing verdict."""
-    S = dust.sample_size
-    sizing = _sizing(S, B, A, force)
-    return _spectrum(cover(dust, B), S, A, sizing)
+    """Full pipeline, sweep_boxes over the one box count B, raising its
+    refusal: a B that is not a box count, or a sizing Violation unless
+    force is set. The spectrum carries S and the sizing verdict."""
+    (entry,) = sweep_boxes(dust, [B], A, force)
+    if entry.error is not None:
+        raise entry.error
+    return entry.spectrum
 
 
 @dataclass(frozen=True)
@@ -190,22 +182,31 @@ class SweepEntry:
 def sweep_boxes(dust: CantorDust, B_list, A: int,
                 force: bool = False) -> list[SweepEntry]:
     """Estimate one spectrum per distinct B and return one entry per listed
-    B, a repeated B sharing its entry. Each B is sized first, in order: a
-    refusal of one B (its sizing or its box count) is recorded in its entry
-    and the sweep goes on; any other error, such as a bad bin count,
-    applies to every B and is raised. The Bs that size are then covered
-    together (see covers), and each spectrum is built as estimate builds
-    it."""
+    B, a repeated B that sizes sharing its entry. Each listed B is sized
+    first, in order, before it is merged with an equal B, so that 100.0 or
+    [100] is refused even beside 100: a refusal of one B (its sizing or its
+    box count) is recorded in its entry and the sweep goes on; any other
+    error, such as a bad bin count, applies to every B and is raised. The
+    Bs that size are then covered together (see covers), and each cover's
+    alpha field is binned into a Spectrum that carries S and the sizing
+    verdict."""
     S = dust.sample_size
-    done, sized = {}, {}
-    for B in dict.fromkeys(B_list):
+    refused, sized = {}, {}
+    for k, B in enumerate(B_list):
         try:
-            sized[B] = _sizing(S, B, A, force)
+            status, notes = validate_sizing(S, B, A)
+            if status is SizingStatus.VIOLATION and not force:
+                raise SizingViolation("; ".join(notes))
         except (SizingViolation, BadBoxCount) as exc:
-            done[B] = SweepEntry(B, None, exc)
-    for (B, sizing), measure in zip(sized.items(), covers(dust, sized)):
-        done[B] = SweepEntry(B, _spectrum(measure, S, A, sizing))
-    return [done[B] for B in B_list]
+            refused[k] = SweepEntry(B, None, exc)
+        else:
+            sized.setdefault(B, (status, notes))
+    done, measures = {}, covers(dust, sized)
+    for (B, (status, notes)), measure in zip(sized.items(), measures):
+        spec = histogram_spectrum(alpha_field(measure), measure.box_count, A)
+        done[B] = SweepEntry(B, replace(spec, S=S, sizing=status,
+                                        sizing_notes=notes))
+    return [refused.get(k) or done[B] for k, B in enumerate(B_list)]
 
 
 # --- spectrum CSV ---------------------------------------------------------

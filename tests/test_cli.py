@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 import mfkappa
 from mfkappa import errors
 from mfkappa.cli import build_parser, main
-from mfkappa.measure import (_MAX_COUNT, covers, read_dust, read_rows,
-                              write_dust)
+from mfkappa.measure import (_MAX_COUNT, cover, covers, read_dust,
+                              read_rows, write_dust)
 from mfkappa.oracles import gen_uniform
-from mfkappa.spectrum import (estimate, read_spectrum_csv,
-                              write_spectrum_csv)
+from mfkappa.spectrum import (alpha_field, auto_size, estimate,
+                              histogram_spectrum, read_spectrum_csv,
+                              validate_sizing, write_spectrum_csv)
 
 
 def run(*argv):
@@ -423,6 +424,20 @@ class TestSweep:
         assert written == [str(tmp_path / "sw_B100.csv")]
 
 
+def assert_reads_back_as_composed(path, dust, B, A):
+    """The spectrum CSV at path reads back, field for field, as the spectrum
+    of dust at (B, A) built stage by stage: cover, alpha field and
+    histogram, with S and validate_sizing's verdict."""
+    back = read_spectrum_csv(path)
+    spec = histogram_spectrum(alpha_field(cover(dust, B)), B, A)
+    status, notes = validate_sizing(dust.sample_size, B, A)
+    assert back.alphas.tobytes() == spec.alphas.tobytes()
+    assert back.fs.tobytes() == spec.fs.tobytes()
+    assert (back.S, back.B, back.A, back.epsilon_alpha, back.sizing,
+            back.sizing_notes) == (dust.sample_size, B, A,
+                                   spec.epsilon_alpha, status, notes)
+
+
 # --boxes entries: 0, 1, 2, small counts, negatives, counts past the array
 # bound, an underscore, Arabic-Indic and full-width digits (which int()
 # reads), an empty entry and a word; never a count that allocates much
@@ -451,8 +466,10 @@ def test_sweep_fuzz_exits_with_a_code_and_writes_what_estimate_gives(
         small_dust, boxes, bins, force, joined):
     """mfk sweep on drawn --boxes lists and --bins values, with and without
     --force, on a 400-point dust: main returns an exit code, 0 to 3, and
-    every spectrum CSV a successful sweep writes reads back as estimate's
-    spectrum at its B. Time budget: 10 s; 150 examples take about 2 s."""
+    every spectrum CSV a successful sweep writes reads back as the
+    spectrum at its B, built stage by stage (estimate is itself a sweep,
+    so it is no reference). Time budget: 10 s; 150 examples take about
+    2 s."""
     boxes = ",".join(boxes)
     with tempfile.TemporaryDirectory() as out:
         prefix = os.path.join(out, "sw")
@@ -469,16 +486,202 @@ def test_sweep_fuzz_exits_with_a_code_and_writes_what_estimate_gives(
         dust = read_dust(small_dust)
         for entry in report["entries"]:
             assert (entry["csv"] is None) != (entry["error"] is None)
-            if entry["csv"] is None:
-                continue
-            back = read_spectrum_csv(entry["csv"])
-            spec = estimate(dust, entry["B"], report["A"], force=force)
-            assert back.alphas.tobytes() == spec.alphas.tobytes()
-            assert back.fs.tobytes() == spec.fs.tobytes()
-            assert (back.S, back.B, back.A, back.epsilon_alpha, back.sizing,
-                    back.sizing_notes) == (
-                spec.S, spec.B, spec.A, spec.epsilon_alpha, spec.sizing,
-                spec.sizing_notes)
+            if entry["csv"] is not None:
+                assert_reads_back_as_composed(entry["csv"], dust,
+                                              entry["B"], report["A"])
+
+
+# Values of the fuzzed files and flags below. Most are good, so that most
+# examples reach the end of their command; the bad ones are NaN,
+# infinities, the ends of the float range, a word, an empty field, and
+# counts past the array bound, never a count that allocates much.
+GOOD_NUMBERS = st.one_of(st.floats(-2.0, 3.0).map(repr),
+                         st.sampled_from(["0", "-0.0", "1", "1e-320",
+                                          "1_0"]))
+BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308",
+                               "x", ""])
+GOOD_META = {"S": ["10000", "\u0661\u0660"], "B": ["100", "1_0"],
+             "A": ["9", "\u0663"], "epsilon_alpha": ["0.1", "0", "1e-320"],
+             "sizing": ["Ok", "Warning", "Violation"],
+             "sizing_note": ["a note", ""]}
+BAD_META = {"S": ["-1", "1e3", "", str(_MAX_COUNT + 1)],
+            "B": ["0", "abc", str(10 ** 23)], "A": ["-3", "9.5"],
+            "epsilon_alpha": ["nan", "inf", "-1", "1e308", "x"],
+            "sizing": ["ok", "Bogus", ""]}
+BAD_FLAGS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e400",
+                             "x", "", str(_MAX_COUNT + 1), str(10 ** 23)])
+TOLERANCES = st.sampled_from(["0.01", "0.2", "0.5", "3", "1_0", "1e-320"])
+CLASSIFY_FLAGS = {"--gap-threshold": st.one_of(TOLERANCES, st.just("inf")),
+                  "--segment-tol": TOLERANCES, "--cap-tol": TOLERANCES,
+                  "--min-run": st.sampled_from(["0", "-1", "4", "5", "1_0"])}
+
+
+def meta_lines(table):
+    return st.sampled_from([f"# {key}={value}" for key, values in
+                            table.items() for value in values])
+
+
+def mostly(good, bad):
+    """good for nine draws of ten, bad for the tenth."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else good)
+
+
+@st.composite
+def spectrum_csvs(draw):
+    """The bytes of a spectrum CSV: metadata lines, a header that may be
+    missing or re-cased, rows in any order, a row of 1 to 3 fields that may
+    not be numbers, a repeated row, a pair of rows at the ends of the float
+    range with or without a middle row, a byte that is not UTF-8, or no
+    bytes at all."""
+    if draw(st.integers(0, 19)) == 19:
+        return b""
+    lines = draw(st.lists(mostly(meta_lines(GOOD_META),
+                                 meta_lines(BAD_META)), max_size=4))
+    header = ["alpha,f", "ALPHA,F", "Alpha,f"]
+    lines += header[draw(st.integers(0, 9)) % 4:][:1]  # none one time in ten
+    alphas = draw(st.lists(GOOD_NUMBERS, min_size=1, max_size=8,
+                           unique_by=float))
+    rows = [f"{a},{draw(GOOD_NUMBERS)}" for a in alphas]
+    if draw(st.integers(0, 4)) == 4:
+        fields = st.one_of(GOOD_NUMBERS, BAD_NUMBERS)
+        rows.append(",".join(draw(st.lists(fields, min_size=1,
+                                           max_size=3))))
+    if rows and draw(st.integers(0, 7)) == 7:
+        rows.append(draw(st.sampled_from(rows)))
+    if draw(st.integers(0, 5)) == 5:
+        rows += ["-1e308,0.1", "1e308,0.2"] + draw(st.sampled_from(
+            [[], ["0,0.3"]]))
+    lines += draw(st.permutations(rows))
+    data = "".join(line + "\n" for line in lines).encode()
+    if draw(st.integers(0, 9)) == 9:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def flags(draw, table):
+    """Some of the flags of table, each with a value, mostly one of its
+    good ones, as --flag=value or as two arguments."""
+    argv = []
+    for name in draw(st.lists(st.sampled_from(sorted(table)), unique=True)):
+        value = draw(mostly(table[name], BAD_FLAGS))
+        argv += ([f"{name}={value}"] if draw(st.booleans())
+                 else [name, value])
+    return argv
+
+
+def strict_json(text):
+    def refuse(name):  # Infinity and NaN are not RFC 8259 JSON
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(csv=spectrum_csvs(), argv=flags(CLASSIFY_FLAGS))
+def test_classify_fuzz_exits_with_a_code_and_writes_json(csv, argv):
+    """mfk classify on drawn spectrum CSVs and drawn flag values: main
+    returns an exit code, 0 to 3, a report written with exit 0 is strict
+    JSON, and a refusal writes no report. Time budget: 10 s; 200 examples
+    take about 2 s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "spec.csv"), os.path.join(tmp, "r.json")
+        with open(path, "wb") as fh:
+            fh.write(csv)
+        code = main(["classify", path, *argv, "--out", out])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            with open(out) as fh:
+                assert strict_json(fh.read())["regime"]
+        else:
+            assert not os.path.exists(out)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(csvs=st.lists(spectrum_csvs(), min_size=1, max_size=2),
+       argv=flags({"--gap-threshold": CLASSIFY_FLAGS["--gap-threshold"]}))
+def test_plot_fuzz_exits_with_a_code_and_writes_finite_svg(csvs, argv):
+    """mfk plot on one or two drawn spectrum CSVs and a drawn gap
+    threshold: main returns an exit code, 0 to 3, an SVG written with exit
+    0 holds no NaN or infinite coordinate, and a refusal writes no SVG.
+    Time budget: 10 s; 150 examples take about 2 s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, csv in enumerate(csvs):
+            paths.append(os.path.join(tmp, f"spec{k}.csv"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(csv)
+        out = os.path.join(tmp, "plot.svg")
+        code = main(["plot", *paths, *argv, "--out", out])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            with open(out) as fh:
+                svg = fh.read()
+            assert svg.count('class="series"') == len(paths)
+            assert "nan" not in svg and "inf" not in svg
+        else:
+            assert not os.path.exists(out)
+
+
+# dust lines: points in [0,1], their ends, a subnormal, blank lines and
+# comments; and bad ones: points outside [0,1], NaN, infinities, a word
+GOOD_DUST = st.one_of(st.floats(0.0, 1.0).map(repr),
+                      st.sampled_from(["0", "-0.0", "1.0", "1e-320", "0.5",
+                                       "", "# kind=fixture"]))
+BAD_DUST = st.sampled_from(["1.5", "-0.1", "nan", "inf", "-inf", "1_0", "x"])
+COUNTS = st.one_of(st.integers(2, 40).map(str), st.just("1_0"))
+BINS = st.one_of(st.integers(1, 6).map(str), st.just("\u0663"))
+
+
+@st.composite
+def analyze_flags(draw):
+    """--auto-size, or --boxes with --bins; either may come with the others,
+    a flag may be missing, and a value may be bad."""
+    if draw(st.booleans()):
+        both = {8: ["--boxes", "10"], 9: ["--bins", "3"]}
+        return ["--auto-size", *both.get(draw(st.integers(0, 9)), [])]
+    argv = []
+    for name, good in (("--boxes", COUNTS), ("--bins", BINS)):
+        if draw(st.integers(0, 9)) < 9:  # present nine times in ten
+            argv += [name, draw(mostly(good, BAD_FLAGS))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lines=st.lists(GOOD_DUST, min_size=1, max_size=40),
+       spread=st.sampled_from([0, 20, 60]),
+       bad=mostly(st.just([]), BAD_DUST.map(lambda line: [line])),
+       bad_byte=st.integers(0, 9), argv=analyze_flags(), force=st.booleans(),
+       data=st.data())
+def test_analyze_fuzz_exits_with_a_code_and_writes_its_spectrum(
+        lines, spread, bad, bad_byte, argv, force, data):
+    """mfk analyze on a small drawn dust file with drawn --boxes and --bins
+    values, --auto-size and --force: main returns an exit code, 0 to 3, a
+    spectrum CSV written with exit 0 reads back as the spectrum at its
+    (B, A), built stage by stage, and a refusal writes no CSV. Time budget:
+    10 s; 150 examples take about 2 s."""
+    lines += [repr((k + 0.5) / spread) for k in range(spread)]
+    lines = data.draw(st.permutations(lines + bad))
+    text = "".join(line + "\n" for line in lines).encode()
+    if bad_byte == 9:
+        text = b"0.5\n0.\xff5\n" + text
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "dust.txt"), os.path.join(tmp, "s.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        argv += ["--force"] if force else []
+        code = main(["analyze", path, *argv, "--out", out])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            dust = read_dust(path)
+            if "--auto-size" in argv:
+                B, A = auto_size(dust.sample_size)
+            else:  # int reads 1_0 and Arabic-Indic digits, as argparse does
+                B, A = (int(argv[argv.index(flag) + 1])
+                        for flag in ("--boxes", "--bins"))
+            assert_reads_back_as_composed(out, dust, B, A)
+        else:
+            assert not os.path.exists(out)
 
 
 class TestPlot:
@@ -776,6 +979,24 @@ class TestErrorContract:
         assert run(*argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}:2: ")
+
+    @pytest.mark.parametrize("rows", [
+        ["-1e308,0.1", "1e308,0.2"],
+        ["-1e308,0.1", "0,0.3", "1e308,0.2"],
+    ], ids=["ends", "ends-and-middle"])
+    @pytest.mark.parametrize("command", ["classify", "plot"])
+    def test_span_past_the_float_range_exits_1(self, command, rows, tmp_path,
+                                               capsys):
+        # alpha's span overflows to inf: classify's delta_alpha was inf,
+        # which strict JSON cannot hold, and plot wrote NaN coordinates
+        path = tmp_path / "spec.csv"
+        path.write_text("alpha,f\n" + "".join(row + "\n" for row in rows))
+        out = tmp_path / "out"
+        assert run(command, str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: spectrum points must be")
+        assert not out.exists()
 
 
 def test_byte_not_utf8_in_a_comment_is_ignored(tmp_path):

@@ -149,6 +149,22 @@ def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
     assert (tmp_path / "out.txt").read_text() == "0.5\n" * 1000
 
 
+def test_atomic_write_failure_keeps_the_target(tmp_path):
+    # a chunk source that fails after its first chunk: the error comes
+    # through, the old file is untouched and no temporary file is left
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield "new contents\n"
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        atomic_write(target, chunks())
+    assert target.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_read_dust_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0.5\nnot-a-number\n")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,38 @@ class TestEstimate:
             assert np.all(spec.fs <= 1.0 + 1e-12)
 
 
+    @pytest.mark.parametrize("B, message", [
+        ([100], "box count must be an integer, got [100]"),
+        (np.array([100]), "box count must be an integer, got array([100])"),
+        (100.0, "box count must be an integer, got 100.0"),
+        (True, "box count must be an integer, got True"),
+        (1, "box count must be >= 2, got 1"),
+        (10 ** 23, f"box count {10 ** 23} exceeds the largest array "
+                   f"length, {measure._MAX_COUNT}"),
+    ], ids=["list", "array", "float", "bool", "1", "past-the-array-length"])
+    def test_refuses_what_is_not_a_box_count(self, B, message):
+        with pytest.raises(BadBoxCount) as info:
+            estimate(gen_uniform(10_000), B, 9)
+        assert str(info.value) == message
+
+
+def composed(dust, B, A):
+    """The spectrum at B built stage by stage, apart from sweep_boxes: cover,
+    alpha field and histogram, with S and validate_sizing's verdict."""
+    status, notes = validate_sizing(dust.sample_size, B, A)
+    spec = histogram_spectrum(alpha_field(cover(dust, B)), B, A)
+    return replace(spec, S=dust.sample_size, sizing=status,
+                   sizing_notes=notes)
+
+
+def assert_same_spectrum(spec, ref):
+    assert spec.alphas.tobytes() == ref.alphas.tobytes()
+    assert spec.fs.tobytes() == ref.fs.tobytes()
+    assert (spec.S, spec.B, spec.A, spec.epsilon_alpha, spec.sizing,
+            spec.sizing_notes) == (ref.S, ref.B, ref.A, ref.epsilon_alpha,
+                                   ref.sizing, ref.sizing_notes)
+
+
 # the box counts of the sweep-1e7 benchmark: 11 from A^2 to 2 sqrt(S)
 SWEEP_1E7_BOXES = [3025, 3256, 3505, 3774, 4062, 4373, 4708, 5068, 5456,
                    5874, 6324]
@@ -171,11 +204,30 @@ SWEEP_1E7_BOXES = [3025, 3256, 3505, 3774, 4062, 4373, 4708, 5068, 5456,
 
 class TestSweep:
     def test_singleton_equals_estimate(self):
-        dust = gen_uniform(10_000)
+        # against the stages composed by hand: estimate is this very sweep
+        dust = gen_uniform(10_000, "random", seed=2)
         entries = sweep_boxes(dust, [100], 9)
         assert len(entries) == 1
-        direct = estimate(dust, 100, 9)
-        assert np.array_equal(entries[0].spectrum.alphas, direct.alphas)
+        assert_same_spectrum(entries[0].spectrum, composed(dust, 100, 9))
+        assert_same_spectrum(estimate(dust, 100, 9), composed(dust, 100, 9))
+
+    @pytest.mark.parametrize("B_list", [[100, 100.0], [100.0, 100]],
+                             ids=["int-first", "float-first"])
+    def test_box_counts_are_checked_before_equal_ones_merge(self, B_list):
+        entries = sweep_boxes(gen_uniform(10_000), B_list, 3)
+        by_type = {type(e.B): e for e in entries}
+        assert by_type[int].spectrum is not None
+        assert by_type[int].error is None
+        assert by_type[float].spectrum is None
+        assert isinstance(by_type[float].error, BadBoxCount)
+        assert str(by_type[float].error) == \
+            "box count must be an integer, got 100.0"
+
+    def test_unhashable_box_count_is_refused(self):
+        entries = sweep_boxes(gen_uniform(10_000), [[100], 100], 3)
+        assert entries[0].spectrum is None
+        assert isinstance(entries[0].error, BadBoxCount)
+        assert entries[1].spectrum is not None
 
     def test_bad_entry_does_not_abort(self):
         dust = gen_uniform(10_000)
@@ -234,8 +286,7 @@ class TestSweep:
         entries = sweep_boxes(dust, B_list, 3, force=True)
         assert calls == [True] * searches
         for e in entries:
-            assert np.array_equal(e.spectrum.fs,
-                                  estimate(dust, e.B, 3, force=True).fs)
+            assert_same_spectrum(e.spectrum, composed(dust, e.B, 3))
 
     def test_peak_memory_follows_the_largest_box_count(self):
         """A sweep of four box counts near 2^20 takes at most 1.5 times
@@ -320,9 +371,17 @@ def test_spectrum_takes_sizing_by_its_value():
     ({"epsilon_alpha": "0.1"},
      "epsilon_alpha must be a real number, got '0.1'"),
     ({"epsilon_alpha": None}, "epsilon_alpha must be a real number, got None"),
+    ({"alphas": np.array([-1e308, 1e308]), "fs": np.array([0.1, 0.2])},
+     "within half the float range"),
+    # finite apart, but a plot's 5% margins on each side would overflow
+    ({"alphas": np.array([-0.85e308, 0.85e308]), "fs": np.array([0.1, 0.2])},
+     "within half the float range"),
+    ({"alphas": np.array([0.5]), "fs": np.array([-1e308])},
+     "within half the float range"),
 ], ids=["sizing", "notes-as-a-string", "lengths", "2-D", "0-D", "lists",
         "S-bool", "B-bool", "A-bool", "epsilon_alpha-bool",
-        "epsilon_alpha-str", "epsilon_alpha-None"])
+        "epsilon_alpha-str", "epsilon_alpha-None", "alpha-span-overflows",
+        "plot-margins-overflow", "f-far-below-0"])
 def test_spectrum_refuses_fields_it_cannot_hold(fields, message):
     with pytest.raises(FormatError, match=message):
         Spectrum(**{"alphas": ONE, "fs": ONE, **fields})
