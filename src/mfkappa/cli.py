@@ -8,19 +8,21 @@ included, ends in main's one handler: a single `error:` line on stderr and
 the exit code the error class carries (MfkError.exit_code, which an
 OSError or MemoryError shares with the base class): 1 I/O, parse or
 allocation failure, 2 bad generator spec or bad flags, 3 sizing refusal.
+
+Every mfk command is a fresh interpreter, so this module imports only
+argparse, sys and .errors at top level. Each command imports the library
+modules, numpy with them, and json or dataclasses when it runs, and looks
+each library function up on its module then: `mfk --help` and a refused
+flag load no numpy, `generate` no spectrum or geometry, `analyze` no
+geometry or oracles, and `classify` no oracles.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, fields
 
-from . import geometry, oracles, spectrum
 from .errors import MfkError, SizingViolation, SpecError
-from .measure import atomic_write, read_dust, write_dust
-from .spectrum import SizingStatus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,24 +32,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, out) -> None:
     if out:
+        from .measure import atomic_write
         atomic_write(out, [text])
     else:
         sys.stdout.write(text)
 
 
-def _warn(spec: spectrum.Spectrum) -> None:
+def _warn(spec) -> None:
     """One `warning:` line on stderr per sizing note of a Warning-band
     spectrum; the tag is coloured only on a terminal."""
+    from .spectrum import SizingStatus
     if spec.sizing is SizingStatus.WARNING:
         tag = "\x1b[33mwarning:\x1b[0m" if sys.stderr.isatty() else "warning:"
         for msg in spec.sizing_notes:
             sys.stderr.write(f"{tag} {msg}\n")
 
 
-def _load_spec(path) -> oracles.SelfSimilarSpec:
+def _load_spec(path):
+    import json
+    from .oracles import SelfSimilarSpec
     with open(path) as fh:
         try:
-            return oracles.SelfSimilarSpec.from_dict(json.load(fh))
+            return SelfSimilarSpec.from_dict(json.load(fh))
         except (TypeError, ValueError, OverflowError, SpecError) as exc:
             raise SpecError(f"{path}: bad spec: {type(exc).__name__}: {exc}")
 
@@ -55,38 +61,45 @@ def _load_spec(path) -> oracles.SelfSimilarSpec:
 # Each generator maps its kind's flags to (dust, header); cmd_generate adds
 # the kind.
 def _selfsimilar(args):
+    import json
+    from dataclasses import asdict
+    from .oracles import SelfSimilarSpec, gen_selfsimilar
     r2 = args.r if args.r2 is None else args.r2
-    spec = oracles.SelfSimilarSpec(p=(args.p, 1.0 - args.p), r=(args.r, r2),
-                                   depth=args.depth, S=args.S,
-                                   seed=args.seed or 0)
-    return oracles.gen_selfsimilar(spec), {"spec": json.dumps(asdict(spec))}
+    spec = SelfSimilarSpec(p=(args.p, 1.0 - args.p), r=(args.r, r2),
+                           depth=args.depth, S=args.S, seed=args.seed or 0)
+    return gen_selfsimilar(spec), {"spec": json.dumps(asdict(spec))}
 
 
 def _superposed(args):
+    import json
+    from dataclasses import asdict
+    from .oracles import gen_superposed
     spec_a, spec_b = _load_spec(args.spec_a), _load_spec(args.spec_b)
-    dust = oracles.gen_superposed(spec_a, spec_b, args.mix,
-                                  disjoint=args.disjoint)
+    dust = gen_superposed(spec_a, spec_b, args.mix, disjoint=args.disjoint)
     return dust, {"mix": args.mix, "disjoint": args.disjoint,
                   "spec_a": json.dumps(asdict(spec_a)),
                   "spec_b": json.dumps(asdict(spec_b))}
 
 
 def _farey(args):
-    return oracles.gen_farey(args.Q), {"Q": args.Q}
+    from .oracles import gen_farey
+    return gen_farey(args.Q), {"Q": args.Q}
 
 
 def _uniform(args):
+    from .oracles import gen_uniform
     if args.mode == "equispaced" and args.seed is not None:
         raise SpecError("--seed needs --mode random: equispaced dusts "
                         "draw nothing")
     header = {"S": args.S, "mode": args.mode}
     if args.mode == "random":
         header["seed"] = args.seed or 0
-    dust = oracles.gen_uniform(args.S, mode=args.mode, seed=args.seed or 0)
+    dust = gen_uniform(args.S, mode=args.mode, seed=args.seed or 0)
     return dust, header
 
 
 def cmd_generate(args) -> None:
+    from .measure import write_dust
     dust, header = args.make(args)
     write_dust(dust, args.out, header={"kind": args.kind, **header})
 
@@ -96,34 +109,43 @@ def _resolve_sizing(args, S: int) -> tuple[int, int]:
         if args.boxes is not None or args.bins is not None:
             raise SpecError("--auto-size is mutually exclusive with "
                             "--boxes/--bins")
-        return spectrum.auto_size(S)
+        from .spectrum import auto_size
+        return auto_size(S)
     if args.boxes is None or args.bins is None:
         raise SpecError("need --boxes and --bins, or --auto-size")
     return args.boxes, args.bins
 
 
 def cmd_analyze(args) -> None:
+    from .measure import read_dust
+    from .spectrum import estimate, format_spectrum_csv
     dust = read_dust(args.input)
     B, A = _resolve_sizing(args, dust.sample_size)
     try:
-        spec = spectrum.estimate(dust, B, A, force=args.force)
+        spec = estimate(dust, B, A, force=args.force)
     except SizingViolation as exc:
         raise SizingViolation(f"sizing violation: {exc} "
                               "(use --force to override)") from None
     _warn(spec)
-    _emit(spectrum.format_spectrum_csv(spec), args.out)
+    _emit(format_spectrum_csv(spec), args.out)
 
 
 def cmd_classify(args) -> None:
-    spec = spectrum.read_spectrum_csv(args.input)
-    given = {f.name: getattr(args, f.name)
-             for f in fields(geometry.GeometryConfig)
+    from dataclasses import fields
+    from .geometry import GeometryConfig, classify
+    from .spectrum import read_spectrum_csv
+    spec = read_spectrum_csv(args.input)
+    given = {f.name: getattr(args, f.name) for f in fields(GeometryConfig)
              if getattr(args, f.name) is not None}
-    report = geometry.classify(spec, geometry.GeometryConfig(**given))
+    report = classify(spec, GeometryConfig(**given))
     _emit(report.to_json() + "\n", args.out)
 
 
 def cmd_sweep(args) -> None:
+    import json
+    from .geometry import compare_sweep, features
+    from .measure import atomic_write, read_dust
+    from .spectrum import auto_size, sweep_boxes, write_spectrum_csv
     dust = read_dust(args.input)
     try:
         B_list = [int(b) for b in args.boxes.split(",") if b]
@@ -131,9 +153,9 @@ def cmd_sweep(args) -> None:
         raise SpecError(f"--boxes must list integers, got {args.boxes!r}")
     if not B_list:
         raise SpecError("--boxes must name at least one box count")
-    A = args.bins if args.bins is not None else spectrum.auto_size(
+    A = args.bins if args.bins is not None else auto_size(
         dust.sample_size)[1]
-    entries = spectrum.sweep_boxes(dust, B_list, A, force=args.force)
+    entries = sweep_boxes(dust, B_list, A, force=args.force)
     refusals = [None if e.error is None
                 else f"{type(e.error).__name__}: {e.error}" for e in entries]
     ok_entries = [e for e in entries if e.spectrum is not None]
@@ -145,21 +167,23 @@ def cmd_sweep(args) -> None:
     for e in {e.B: e for e in ok_entries}.values():  # once per distinct B
         _warn(e.spectrum)
         path = f"{args.out_prefix}_B{e.B}.csv"
-        spectrum.write_spectrum_csv(e.spectrum, path)
+        write_spectrum_csv(e.spectrum, path)
         csv_paths[e.B] = path
     report = {"A": A, "entries": [
         {"B": e.B, "csv": csv_paths.get(e.B), "error": text}
         for e, text in zip(entries, refusals)]}
-    feats = [geometry.features(e.spectrum) for e in ok_entries]
-    report["trend"] = (geometry.compare_sweep(feats) if len(feats) >= 2
+    feats = [features(e.spectrum) for e in ok_entries]
+    report["trend"] = (compare_sweep(feats) if len(feats) >= 2
                        else "NeedsSweep")
     atomic_write(f"{args.out_prefix}_report.json",
                  [json.dumps(report, indent=2, allow_nan=False) + "\n"])
 
 
 def cmd_plot(args) -> None:
+    from .measure import atomic_write
+    from .spectrum import read_spectrum_csv
     from .svgplot import render_spectra_svg
-    spectra = [spectrum.read_spectrum_csv(p) for p in args.inputs]
+    spectra = [read_spectrum_csv(p) for p in args.inputs]
     svg = render_spectra_svg(spectra, gap_threshold=args.gap_threshold)
     atomic_write(args.out, [svg])
 

@@ -22,6 +22,10 @@ from .measure import (CantorDust, NaturalMeasure, _check_count, _check_real,
                       atomic_write, covers, format_header, read_rows)
 
 
+# the least magnitude of a nonzero spectrum point; 1 / _POINT_MIN the most
+_POINT_MIN = 2.0 ** -450
+
+
 class SizingStatus(str, Enum):
     OK = "Ok"
     WARNING = "Warning"
@@ -30,10 +34,11 @@ class SizingStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Finite (alpha, f) point list, alphas strictly increasing, with the
-    sizes it was estimated at: sample size S, box count B, bin count A and
-    bin width epsilon_alpha, and the sizing status, a SizingStatus or its
-    value, with its notes. An S, B or A of 0 means the spectrum CSV it was
+    """Finite (alpha, f) point list, alphas strictly increasing, each value
+    0 or of magnitude 2**-450 to 2**450, with the sizes it was estimated
+    at: sample size S, box count B, bin count A and bin width
+    epsilon_alpha, and the sizing status, a SizingStatus or its value, with
+    its notes. An S, B or A of 0 means the spectrum CSV it was
     read from did not give it."""
 
     alphas: np.ndarray
@@ -73,6 +78,14 @@ class Spectrum:
             raise FormatError("spectrum points must be finite, within half "
                               "the float range, with strictly increasing "
                               "alphas")
+        # classify's line fits sum squares of differences of alphas: those
+        # of two distinct values of this range, at least 2**-502 apart,
+        # are normal floats, and up to 2**100 of them sum to a finite one
+        size = np.abs(np.concatenate([a, f]))
+        if not np.all((size == 0) | ((size >= _POINT_MIN)
+                                     & (size <= 1 / _POINT_MIN))):
+            raise FormatError("spectrum points must be 0 or of magnitude "
+                              "from 2**-450 to 2**450")
         try:
             object.__setattr__(self, "sizing", SizingStatus(self.sizing))
         except ValueError:

@@ -684,6 +684,128 @@ def test_analyze_fuzz_exits_with_a_code_and_writes_its_spectrum(
             assert not os.path.exists(out)
 
 
+# generate's values: sizes small or past their guard, never a size that
+# allocates much; NaN, infinities, 2**63, negatives, an underscore,
+# Arabic-Indic digits and empty values
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+RATIOS = st.floats(0.0, 0.5, exclude_min=True)  # r + r2 <= 1
+PAST_GUARD = [str(_MAX_COUNT + 1), str(2 ** 63), str(10 ** 23)]
+ODD_VALUES = ["nan", "inf", "-inf", "-1", "-0.5", "0", "", "1_0", "\u0663",
+              "2.5", "x"]
+SIZES = mostly(st.integers(1, 40).map(str),
+               st.sampled_from(PAST_GUARD + ODD_VALUES))
+GENERATE_FLAGS = {
+    "selfsimilar": {
+        "--p": mostly(OPEN_UNIT.map(repr), st.sampled_from(ODD_VALUES)),
+        "--r": mostly(RATIOS.map(repr), st.sampled_from(ODD_VALUES)),
+        "--r2": mostly(RATIOS.map(repr), st.sampled_from(ODD_VALUES)),
+        "--depth": mostly(st.integers(1, 8).map(str), st.sampled_from(
+            ["700", "1" + "0" * 400, *PAST_GUARD, *ODD_VALUES])),
+        "--S": SIZES, "--seed": SIZES},
+    "superposed": {"--mix": mostly(OPEN_UNIT.map(repr),
+                                   st.sampled_from(ODD_VALUES)),
+                   "--disjoint": st.none()},
+    "farey": {"--Q": SIZES},
+    "uniform": {"--S": SIZES, "--seed": SIZES, "--mode": mostly(
+        st.sampled_from(["random", "equispaced"]),
+        st.sampled_from(["bogus", ""]))},
+}
+STRAY_FLAGS = sorted({flag for flags in GENERATE_FLAGS.values()
+                      for flag in flags} | {"--spec", "--bogus"})
+SPEC_FIELDS = {  # key: (good values, bad values)
+    "p": (st.sampled_from([[0.5, 0.5], [0.3, 0.7]]), st.sampled_from(
+        [[1, 1], [0.5], [0.5, 0.5, 0.0], "x", 0.5, [True, False], None,
+         [math.nan, 0.5], {"a": 1}])),
+    "r": (st.sampled_from([[1 / 3, 1 / 3], [0.5, 0.25]]), st.sampled_from(
+        [[0.6, 0.6], [0.0, 0.5], ["a", "b"], 0.3, [math.inf, 0.1], None])),
+    "depth": (st.integers(1, 6), st.sampled_from(
+        [0, -1, 700, 10 ** 400, 2.5, 4.0, 1e308, True, "4", None])),
+    "S": (st.one_of(st.integers(1, 40), st.just(10.0)), st.sampled_from(
+        [0, -1, 1.5, 1e30, True, "10", None, math.inf, _MAX_COUNT + 1,
+         2 ** 63])),
+    "seed": (st.integers(0, 9), st.sampled_from(
+        [-1, 1.5, True, 2 ** 63, None, "3"])),
+}
+
+
+@st.composite
+def spec_files(draw):
+    """The bytes of a cascade spec file, good three times in four. A broken
+    one is a JSON object whose fields may be missing, extra, bools, floats
+    as counts, sizes past their guard or values of the wrong type; text
+    that is not a JSON object; or a byte that is not UTF-8."""
+    if draw(st.integers(0, 3)) < 3:
+        return json.dumps({key: draw(good) for key, (good, _) in
+                           SPEC_FIELDS.items()}).encode()
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from([b"", b"{", b"[0.5, 0.5]", b"null",
+                                     b'"p"', b"{'p': 1}"]))
+    spec = {key: draw(mostly(good, bad))
+            for key, (good, bad) in SPEC_FIELDS.items()
+            if draw(st.integers(0, 9)) < 9}  # each present nine times in ten
+    if draw(st.integers(0, 9)) == 9:
+        spec["sed"] = 5
+    data = json.dumps(spec).encode()
+    if draw(st.integers(0, 9)) == 9:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def generate_argv(draw):
+    """generate, a kind and some of its flags, mostly with good values; now
+    and then a flag the kind does not take. Spec files are {a} and {b}."""
+    kind = draw(st.sampled_from(sorted(GENERATE_FLAGS)))
+    table = GENERATE_FLAGS[kind]
+    argv = ["generate", kind]
+    if kind == "superposed":
+        for flag, name in (("--spec-a", "{a}"), ("--spec-b", "{b}")):
+            k = draw(st.integers(0, 19))
+            if k < 19:  # missing one time in twenty
+                argv += [flag, "{missing}" if k == 18 else name]
+    chosen = draw(st.lists(st.sampled_from(sorted(table)), unique=True))
+    # a size is always given: the defaults, 10,000 points and Q = 200, would
+    # take a tenth of a second to write and read back
+    chosen += [f for f in ("--S", "--Q") if f in table and f not in chosen]
+    for flag in chosen:
+        value = draw(table[flag])
+        argv += ([flag] if value is None else
+                 [f"{flag}={value}"] if draw(st.booleans())
+                 else [flag, value])
+    if draw(st.integers(0, 9)) == 9:
+        argv += [draw(st.sampled_from(
+            [f for f in STRAY_FLAGS if f not in table])), "5"]
+    return kind, argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(drawn=generate_argv(), spec_a=spec_files(), spec_b=spec_files())
+def test_generate_fuzz_exits_with_a_code_and_writes_a_dust(drawn, spec_a,
+                                                           spec_b):
+    """mfk generate of each kind with drawn flag values and drawn spec
+    files: main returns an exit code, 0 to 3, a dust written with exit 0
+    reads back through read_dust with its kind in the header, and a
+    refusal writes no file. Sizes are drawn small or past their guard, so
+    no draw allocates much. Time budget: 10 s; 200 examples take about
+    2 s."""
+    kind, argv = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, f"{name}.json")
+                 for name in ("a", "b", "missing")}
+        for name, data in (("a", spec_a), ("b", spec_b)):
+            with open(files[name], "wb") as fh:
+                fh.write(data)
+        out = os.path.join(tmp, "dust.txt")
+        code = main([a.format(**files) for a in argv] + ["--out", out])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert read_dust(out).sample_size >= 1
+            assert read_rows(out)[0][0] == ("kind", kind)
+        else:
+            assert not os.path.exists(out)
+
+
 class TestPlot:
     def spectra_files(self, tmp_path):
         paths = []
@@ -718,6 +840,10 @@ class TestPlot:
         svg = out.read_text()
         series = svg[svg.index('<g class="series"'):svg.index("</g>")]
         assert series.count("<polyline") == 2
+
+
+# alphas whose squares underflow
+UNDERFLOWING = [0.0, 5.635350551177872e-171, 2.5723126151746734e-239, 1e-320]
 
 
 class TestErrorContract:
@@ -991,6 +1117,25 @@ class TestErrorContract:
         # which strict JSON cannot hold, and plot wrote NaN coordinates
         path = tmp_path / "spec.csv"
         path.write_text("alpha,f\n" + "".join(row + "\n" for row in rows))
+        out = tmp_path / "out"
+        assert run(command, str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: spectrum points must be")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("alphas", [
+        UNDERFLOWING, [a / max(UNDERFLOWING) * 1e160 for a in UNDERFLOWING],
+    ], ids=["squares-underflow", "scaled-to-1e160"])
+    @pytest.mark.parametrize("command", ["classify", "plot"])
+    def test_alphas_whose_squares_leave_the_float_range_exit_1(
+            self, command, alphas, tmp_path, capsys):
+        # classify's line fits square these alphas: below, it warned of a
+        # 0/0 slope and ended in LinAlgError; scaled up, it warned of
+        # overflow
+        path = tmp_path / "spec.csv"
+        path.write_text("alpha,f\n" + "".join(f"{a!r},0.0\n" for a in alphas))
         out = tmp_path / "out"
         assert run(command, str(path), "--out", str(out)) == 1
         err = capsys.readouterr().err.splitlines()

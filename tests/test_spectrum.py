@@ -387,6 +387,37 @@ def test_spectrum_refuses_fields_it_cannot_hold(fields, message):
         Spectrum(**{"alphas": ONE, "fs": ONE, **fields})
 
 
+def test_point_range_keeps_the_line_fits_squares_normal_and_finite():
+    """classify's line fits (geometry._window_screen and np.polyfit) sum
+    squares of differences of alphas over a window. A Spectrum holds 0 and
+    magnitudes from lo = 2**-450 to hi = 2**450 in alphas and fs, and
+    refuses the rest, because:
+    - two distinct values of that range differ by at least the float
+      spacing at lo, 2**-502, and a window's centred sum of squares is at
+      least half its span squared, which is then a normal float with 2**17
+      to spare for rounding;
+    - the widest difference, 2 * hi, squared and summed over 2**100 points
+      is finite.
+    Alphas of 1e-320 to 5.6e-171, whose squares underflow, and of 1e160,
+    whose squares overflow, lie outside. No estimated spectrum comes near
+    either end: a nonzero alpha is at least about 1/(S ln B), and a
+    nonzero f at least ln 2 / ln B."""
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    lo, hi = 2.0 ** -450, 2.0 ** 450
+    assert np.spacing(lo) ** 2 / 2 >= tiny * 2.0 ** 17
+    assert (2 * hi) ** 2 * 2.0 ** 100 < big
+    for x in (0.0, -0.0, lo, -lo, hi, -hi):
+        Spectrum(np.array([x]), ONE)
+        Spectrum(ONE, np.array([x]))
+    for x in (np.nextafter(lo, 0.0), -np.nextafter(lo, 0.0),
+              np.nextafter(hi, np.inf), 1e-320, 5.635350551177872e-171,
+              1e160):
+        for a, f in ((np.array([x]), ONE), (ONE, np.array([x]))):
+            with pytest.raises(FormatError,
+                               match=r"magnitude from 2\*\*-450 to 2\*\*450"):
+                Spectrum(a, f)
+
+
 @pytest.mark.parametrize("eps_a", [np.float64(0.1), np.float32(0.5), 1],
                          ids=["float64", "float32", "int"])
 def test_epsilon_alpha_is_held_as_a_float(eps_a, tmp_path):
