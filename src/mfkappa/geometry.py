@@ -159,8 +159,18 @@ _SCREEN_CELLS = 1 << 16
 
 
 def _line_fit_residual(alphas, fs):
-    """Least-squares line through the points; returns (slope, max |resid|)."""
-    coef = np.polyfit(alphas, fs, 1)
+    """Least-squares line through the points; returns (slope, max |resid|).
+
+    Alphas a few ulps apart make polyfit's scaled alpha column parallel to
+    its constant one: its rank falls below 2, where polyfit would warn
+    RankWarning. Such a window is refitted on alphas - alphas[0], which is
+    exact for alphas within a factor 2 of each other (Sterbenz) and spans
+    the same line with a well-conditioned column.
+    """
+    coef, _, rank, _, _ = np.polyfit(alphas, fs, 1, full=True)
+    if rank < 2:
+        alphas = alphas - alphas[0]
+        coef = np.polyfit(alphas, fs, 1, full=True)[0]
     resid = fs - np.polyval(coef, alphas)
     return float(coef[0]), float(np.max(np.abs(resid)))
 

@@ -6,7 +6,13 @@ count B assigns each box the fraction of dust points it contains. Box i is
 conserved with no double assignment.
 
 CantorDust puts its points in order once, on construction: it checks the
-order, and sorts only if needed. Every consumer relies on that order. A
+order, and sorts only if needed. Every consumer relies on that order. The
+same pass finds the dust's runs of equal points and keeps their starts if
+there are few of them, as in a cascade dust, whose S points take at most
+2^depth values. cover keys a dust that kept its runs one run at a time:
+each run's value is keyed once and counted once per point, so the counts
+are those of keying every point, at O(runs) cost per box count. A dust of
+many distinct points (uniform, Farey) keeps no runs, and is searched: a
 point's box key int(p*B) never decreases in p, so the points keyed below i
 are the points below the first double whose key reaches i (see cover).
 cover finds those first keys by one search of the sorted points, at
@@ -19,7 +25,7 @@ from __future__ import annotations
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -27,8 +33,17 @@ import numpy as np
 from .errors import BadBoxCount, FormatError, SpecError
 
 # points per chunk of write_dust (about 1.3 MB of dust text) and of
-# CantorDust's order check
+# CantorDust's pass over its points (_order_and_runs)
 _CHUNK_LINES = 1 << 16
+
+# A dust keeps its runs of equal points while it has at most S // _RUN_SHARE
+# of them. Timed on a 2-vCPU host over sorted dusts of S // share values,
+# each repeated share times, keying the runs over an 11-B sweep took about
+# as long as the merged search at share 64 and S = 1e7 (11.7 vs 11.1 ms)
+# and half as long at S = 1e6 (0.8 vs 1.7 ms); at share 128 it took half
+# or less at both sizes, and at share 32 up to 2.3 times as long. 64 still
+# keeps the runs of a 1e6-point depth-13 cascade (8,106 values).
+_RUN_SHARE = 64
 
 
 # Each array a count sizes holds 8-byte items. numpy refuses one whose bytes
@@ -63,25 +78,60 @@ def _check_count(n: int, least: int, what: str, error=SpecError) -> None:
                     f"{_MAX_COUNT}")
 
 
+def _order_and_runs(pts: np.ndarray):
+    """Whether pts is sorted, and the start index of each run of equal
+    points, or None if pts is not sorted or has more than
+    pts.size // _RUN_SHARE runs. One pass, a chunk at a time, with no
+    S-byte temporary; runs are counted before their starts are made, so at
+    most the kept starts are held. Runs compare bits, as in _dust_text, so
+    -0.0 and 0.0 stay apart, though they share every key."""
+    cap = pts.size // _RUN_SHARE
+    bits = pts.view(np.int64)
+    starts, runs = [np.zeros(1, np.intp)], 1
+    for i in range(0, pts.size, _CHUNK_LINES):
+        c = pts[i:i + _CHUNK_LINES + 1]
+        if not (c[1:] >= c[:-1]).all():
+            return False, None
+        if runs <= cap:
+            b = bits[i:i + _CHUNK_LINES + 1]
+            new = b[1:] != b[:-1]
+            runs += np.count_nonzero(new)
+            if runs <= cap:
+                starts.append(np.flatnonzero(new) + (i + 1))
+    return True, np.concatenate(starts) if runs <= cap else None
+
+
 @dataclass(frozen=True, eq=False)
 class CantorDust:
-    """Finite sorted point set in [0,1]; the empirical fractal sample."""
+    """Finite sorted point set in [0,1]; the empirical fractal sample.
+
+    Construction sorts the points if they are out of order and, in the
+    pass that checks their order, finds their runs of equal points. It
+    keeps the start of each run only if there are at most S // _RUN_SHARE
+    runs, so a dust of distinct points never holds an S-sized index, and
+    the kept starts take at most 1/_RUN_SHARE of the points' own bytes.
+    """
 
     points: np.ndarray
+    # the start of each run of equal points, or None; see _order_and_runs
+    _runs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0:
             raise FormatError("dust must contain at least one point")
-        # checked a chunk at a time, with no S-byte temporary; NaN fails the
-        # check and sorts last. Either way the dust holds its own copy.
-        chunks = (pts[i:i + _CHUNK_LINES + 1]
-                  for i in range(0, pts.size, _CHUNK_LINES))
-        in_order = all((c[1:] >= c[:-1]).all() for c in chunks)
-        pts = np.array(pts) if in_order else np.sort(pts)
+        in_order, runs = _order_and_runs(pts)
+        # NaN fails the check and sorts last. Either way the dust holds its
+        # own copy.
+        if in_order:
+            pts = np.array(pts)
+        else:
+            pts = np.sort(pts)
+            runs = _order_and_runs(pts)[1]
         if not (pts[0] >= 0.0 and pts[-1] <= 1.0):
             raise FormatError("dust points must lie in [0,1]")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_runs", runs)
 
     @property
     def sample_size(self) -> int:
@@ -112,19 +162,22 @@ _BATCH_EDGES = 1 << 20
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     """Cover [0,1] with B equal boxes and count dust points per box.
 
-    A point p lies in box min(int(p*B), B-1). Multiplying by B is monotone
-    under IEEE rounding, so that key never decreases along the sorted
-    points CantorDust guarantees. So the points keyed below i, for
+    A point p lies in box min(int(p*B), B-1). A dust that kept its runs of
+    equal points (see CantorDust) is counted by that key: each run's value
+    is keyed once and the run's length added to its box, which is keying
+    every point. A dust that kept no runs is searched. Multiplying by B is
+    monotone under IEEE rounding, so the key never decreases along the
+    sorted points CantorDust guarantees. So the points keyed below i, for
     0 < i < B, are exactly the points below t_i, the least double whose
     key is >= i: box i holds the points from the first >= t_i up to the
     first >= t_(i+1). One search of the t_i finds them in O(B log S) work
     instead of keying all S points. Each t_i is found from the key itself
     (see _first_keys), not from the edge i/B, so the counts are exactly
-    those of keying every point: points on an edge, at 1.0 or an ulp off
-    an edge land in the box the key gives them; no point keys below 0, and
-    the clamp puts p == 1.0 in the closed last box. Multiplying by 2
-    commutes with IEEE rounding, so cover(dust, 2B) still refines
-    cover(dust, B) exactly.
+    those of keying every point, as the run-keyed counts are: points on an
+    edge, at 1.0 or an ulp off an edge land in the box the key gives them;
+    no point keys below 0, and the clamp puts p == 1.0 in the closed last
+    box. Multiplying by 2 commutes with IEEE rounding, so cover(dust, 2B)
+    still refines cover(dust, B) exactly.
     """
     (measure,) = covers(dust, [B])
     return measure
@@ -133,7 +186,8 @@ def cover(dust: CantorDust, B: int) -> NaturalMeasure:
 def covers(dust: CantorDust, B_list):
     """Yield cover(dust, B) for each B of B_list, in order.
 
-    The inner edges t_i of every B are merged into one sorted array and
+    A dust that kept its runs keys each run's value once per B. Otherwise
+    the inner edges t_i of every B are merged into one sorted array and
     found by one search of the dust, so needles that sit close together
     read the same stretch of points. The search runs once per batch of at
     most _BATCH_EDGES edges, or of the largest B's edges if it has more.
@@ -141,6 +195,9 @@ def covers(dust: CantorDust, B_list):
     B_list = list(B_list)
     for B in B_list:
         _check_count(B, 2, "box count", BadBoxCount)
+    if dust._runs is not None:
+        yield from _cover_runs(dust.points, dust._runs, B_list)
+        return
     cap = max([_BATCH_EDGES, *(B - 1 for B in B_list)])
     batch, edges = [], 0
     for B in B_list:
@@ -151,6 +208,21 @@ def covers(dust: CantorDust, B_list):
         edges += B - 1
     if batch:
         yield from _cover_batch(dust.points, batch)
+
+
+def _cover_runs(points: np.ndarray, starts: np.ndarray, B_list):
+    """Yield the NaturalMeasure of each B of B_list over the points, whose
+    runs of equal points begin at starts: each run's value is keyed once
+    and counted as many times as the run is long. The weighted counts are
+    whole numbers of at most S, far below 2^53, so they are exact as
+    floats."""
+    values = points[starts]
+    lengths = np.diff(starts, append=points.size).astype(float)
+    for B in B_list:
+        keys = (values * B).astype(np.int64)
+        np.minimum(keys, int(B) - 1, out=keys)
+        counts = np.bincount(keys, weights=lengths, minlength=int(B))
+        yield NaturalMeasure(counts.astype(np.int64))
 
 
 def _first_keys(i: np.ndarray, B) -> np.ndarray:

@@ -292,6 +292,22 @@ class TestClassify:
         assert doc["regime"] == "Crisis"
         assert doc["segment"]["found"]
 
+    def test_window_of_alphas_ulps_apart_fits_without_a_warning(
+            self, tmp_path, capsys):
+        """polyfit's rank falls to 1 on alphas an ulp apart; refitted from
+        the first alpha, the window fits with no RankWarning, which the
+        test settings would raise as an error."""
+        k = range(6)
+        path = self.write_csv(tmp_path, [1.0 + i * 2**-52 for i in k],
+                              [0.1 * (i + 1) for i in k])
+        assert run("classify", str(path)) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        segment = json.loads(out)["segment"]
+        assert segment["run"] == [0, 5]
+        assert segment["slope"] == pytest.approx(0.1 * 2**52)
+        assert segment["residual"] < 1e-16
+
     def test_postcrisis_fixture(self, tmp_path, capsys):
         path = self.write_csv(tmp_path,
                               [0.5, 0.55, 0.6, 1.2, 1.25, 1.3],

@@ -1,5 +1,6 @@
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from mfkappa import measure
 from mfkappa.errors import BadBoxCount, FormatError, SpecError
 from mfkappa.measure import (CantorDust, atomic_write, cover, read_dust,
                              write_dust)
-from mfkappa.oracles import SelfSimilarSpec, gen_farey, gen_uniform
+from mfkappa.oracles import (SelfSimilarSpec, gen_farey, gen_selfsimilar,
+                             gen_uniform)
 from mfkappa.spectrum import histogram_spectrum, validate_sizing
 
 
@@ -38,6 +40,40 @@ def test_dust_neither_aliases_nor_reorders_its_input(points):
     want = points if (points[1:] >= points[:-1]).all() else np.sort(points)
     assert np.array_equal(dust.points.view(np.int64), want.view(np.int64))
     assert (dust.points[1:] >= dust.points[:-1]).all()
+
+
+def dust_points(kind, S):
+    if kind == "distinct":
+        return np.sort(np.random.default_rng(0).random(S))
+    cascade = gen_selfsimilar(
+        SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), 13, S, 7)).points
+    if kind == "cascade":
+        return cascade.copy()
+    return np.random.default_rng(1).permutation(cascade)
+
+
+@pytest.mark.parametrize("kind, kept", [
+    ("distinct", False), ("cascade", True), ("shuffled-cascade", True)])
+def test_order_check_and_runs_hold_no_s_byte_temporary(kind, kept):
+    """Past the points' own copy (8 bytes a point), CantorDust holds at most
+    the kept run starts twice over, as the chunks' pieces and their join
+    (8 bytes a start, at most S // _RUN_SHARE of them), and a chunk's two
+    comparison masks (a byte a point), with room to spare: 2 * _CHUNK_LINES
+    more. A one-byte-a-point mask over the whole dust, 2^20 bytes, would
+    not fit."""
+    S = 2**20
+    points = dust_points(kind, S)
+    bound = (8 * S + 2 * 8 * (S // measure._RUN_SHARE)
+             + 4 * measure._CHUNK_LINES)
+    assert bound < 9 * S
+    tracemalloc.start()
+    try:
+        dust = CantorDust(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dust._runs is not None) == kept
+    assert peak <= bound
 
 
 def test_cover_direct_count():

@@ -11,7 +11,8 @@ from mfkappa import measure
 from mfkappa.errors import (BadBoxCount, FormatError, MfkError,
                             SizingViolation, SpecError)
 from mfkappa.measure import CantorDust, cover, covers
-from mfkappa.oracles import SelfSimilarSpec, gen_uniform, oracle_spectrum
+from mfkappa.oracles import (SelfSimilarSpec, gen_selfsimilar, gen_uniform,
+                             oracle_spectrum)
 from mfkappa.spectrum import (SizingStatus, Spectrum, alpha_field, auto_size,
                               estimate, histogram_spectrum,
                               read_spectrum_csv, sweep_boxes,
@@ -503,6 +504,88 @@ def test_cover_matches_bincount_at_large_S(B):
     rng = np.random.default_rng(B)
     dust = CantorDust(rng.random(2**20 + 3) ** 2)  # S not a power of two
     assert_cover_matches_bincount(dust, swept(B))
+
+
+def run_starts(points):
+    """The start of each run of bit-equal points."""
+    bits = points.view(np.int64)
+    return np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+
+
+def assert_runs_kept(dust, kept):
+    """The dust kept its run starts, so covers keys its runs, or kept none,
+    so covers searches it."""
+    if kept:
+        assert np.array_equal(dust._runs, run_starts(dust.points))
+    else:
+        assert dust._runs is None
+
+
+def cascade(S, depth, seed=3):
+    return gen_selfsimilar(SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), depth, S,
+                                           seed))
+
+
+@pytest.mark.parametrize("B", [2, 81, 1000, 2049])
+def test_run_keyed_cover_matches_bincount_on_a_cascade(B):
+    dust = cascade(2**20, 13)
+    assert_runs_kept(dust, True)
+    assert_cover_matches_bincount(dust, swept(B))
+
+
+@pytest.mark.parametrize("extra, kept", [(0, True), (1, False)],
+                         ids=["at-the-cap", "one-run-past-it"])
+@pytest.mark.parametrize("B", [3, 1000, 4099])
+def test_both_kernels_match_bincount_at_the_runs_cap(extra, kept, B):
+    """S spans four order-check chunks, and one run starts on a chunk's
+    first point; the dust has S // _RUN_SHARE runs, or one more."""
+    C = measure._CHUNK_LINES
+    S = 3 * C + 5
+    runs = S // measure._RUN_SHARE + extra
+    rng = np.random.default_rng(runs)
+    inner = rng.choice(np.arange(1, S - 1), runs - 2, replace=False)
+    inner += inner >= C  # every start but 0 and C, drawn once
+    cuts = np.sort(np.concatenate(([0, C, S], inner)))
+    values = np.sort(rng.choice(2**40, runs, replace=False) / 2**40)
+    dust = CantorDust(np.repeat(values, np.diff(cuts)))
+    assert_runs_kept(dust, kept)
+    assert_cover_matches_bincount(dust, swept(B))
+
+
+@pytest.mark.parametrize("B", [2, 7, 1000])
+def test_run_keyed_cover_matches_bincount_on_signed_zeros_and_one(B):
+    # -0.0 == 0.0, so this is in order: four runs, kept as four
+    points = np.repeat([0.0, -0.0, 0.0, 1.0], 64)
+    dust = CantorDust(points)
+    assert_runs_kept(dust, True)
+    assert np.array_equal(dust._runs, [0, 64, 128, 192])
+    assert_cover_matches_bincount(dust, swept(B))
+
+
+@pytest.mark.parametrize("make, searches", [
+    (lambda: cascade(2**14, 8), 0),
+    (lambda: gen_uniform(2**14, "random", seed=4), 2),
+], ids=["runs-kept", "searched"])
+def test_kernels_match_bincount_past_one_batch_of_edges(monkeypatch, make,
+                                                        searches):
+    """A sweep of more than _BATCH_EDGES edges: a dust that kept its runs
+    is never searched, and one that did not is searched once a batch."""
+    dust = make()
+    assert_runs_kept(dust, searches == 0)
+    B_list = [2**20 + 1, 2**20, 2]
+    assert sum(B - 1 for B in B_list) > measure._BATCH_EDGES
+    calls = []
+    search = np.searchsorted
+
+    def counted(a, *args, **kwargs):
+        calls.append(a is dust.points)
+        return search(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    list(covers(dust, B_list))
+    assert calls == [True] * searches
+    monkeypatch.undo()
+    assert_cover_matches_bincount(dust, B_list)
 
 
 def test_first_keys_are_the_least_doubles_that_key_each_edge():
