@@ -5,19 +5,20 @@ count B assigns each box the fraction of dust points it contains. Box i is
 [i/B, (i+1)/B) for i < B-1; the last box is closed so the total count is
 conserved with no double assignment.
 
-CantorDust puts its points in order once, on construction: it checks the
-order, and sorts only if needed. Every consumer relies on that order. The
-same pass finds the dust's runs of equal points and keeps their starts if
-there are few of them, as in a cascade dust, whose S points take at most
-2^depth values. cover keys a dust that kept its runs one run at a time:
-each run's value is keyed once and counted once per point, so the counts
-are those of keying every point, at O(runs) cost per box count. A dust of
-many distinct points (uniform, Farey) keeps no runs, and is searched: a
-point's box key int(p*B) never decreases in p, so the points keyed below i
-are the points below the first double whose key reaches i (see cover).
-cover finds those first keys by one search of the sorted points, at
-O(B log S) cost rather than O(S), and covers finds the first keys of every
-box count of a sweep in one merged search.
+CantorDust holds its points in order, as values and counts: each run of
+bit-equal points is one value and its length, while the dust has at most
+S // _RUN_SHARE runs, as a cascade dust does, whose S points take at most
+2^depth values. A dust with more runs (uniform, Farey) holds every point as
+a value and no counts. The cascade generators give their runs directly,
+so such a dust never holds its S points; its points view builds them on
+each access. cover keys a dust with counts one run at a time: each value
+is keyed once and counted once per point of its run, so the counts are
+those of keying every point, at O(runs) cost per box count. A dust without
+counts is searched: a point's box key int(p*B) never decreases in p, so
+the points keyed below i are the points below the first double whose key
+reaches i (see cover). cover finds those first keys by one search of the
+sorted points, at O(B log S) cost rather than O(S), and covers finds the
+first keys of every box count of a sweep in one merged search.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import BadBoxCount, FormatError, SpecError
 # CantorDust's pass over its points (_order_and_runs)
 _CHUNK_LINES = 1 << 16
 
-# A dust keeps its runs of equal points while it has at most S // _RUN_SHARE
+# A dust holds its runs of equal points while it has at most S // _RUN_SHARE
 # of them. Timed on a 2-vCPU host over sorted dusts of S // share values,
 # each repeated share times, keying the runs over an 11-B sweep took about
 # as long as the merged search at share 64 and S = 1e7 (11.7 vs 11.1 ms)
@@ -101,41 +102,89 @@ def _order_and_runs(pts: np.ndarray):
     return True, np.concatenate(starts) if runs <= cap else None
 
 
+def _point_runs(pts: np.ndarray):
+    """(values, counts) of the points pts, in any order: the sorted points
+    as they are, and None, past S // _RUN_SHARE runs; otherwise each run's
+    value and length. Only points out of order are sorted, so points in
+    order keep their bits, -0.0 and 0.0 included. NaN fails the order check
+    and sorts last."""
+    in_order, starts = _order_and_runs(pts)
+    if not in_order:
+        pts = np.sort(pts)
+        starts = _order_and_runs(pts)[1]
+    if starts is None:
+        return (np.array(pts) if in_order else pts), None
+    return pts[starts], np.diff(starts, append=pts.size)
+
+
+def _joined_runs(values: np.ndarray, counts):
+    """(values, counts) of runs given as values, in any order, and their
+    positive integer counts: sorted by value (a stable sort, so runs of
+    0.0 and -0.0 keep their given order), with bit-equal neighbours joined
+    into one run, and expanded to the points, with counts None, past
+    S // _RUN_SHARE runs, as _point_runs would hold them."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu" or counts.shape != values.shape \
+            or not (counts >= 1).all():
+        raise FormatError("dust counts must be positive integers, one "
+                          "per value")
+    order = np.argsort(values, kind="stable")
+    values, counts = values[order], counts[order].astype(np.int64)
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    values, counts = values[starts], np.add.reduceat(counts, starts)
+    if values.size > counts.sum() // _RUN_SHARE:
+        return np.repeat(values, counts), None
+    return values, counts
+
+
 @dataclass(frozen=True, eq=False)
 class CantorDust:
     """Finite sorted point set in [0,1]; the empirical fractal sample.
 
-    Construction sorts the points if they are out of order and, in the
-    pass that checks their order, finds their runs of equal points. It
-    keeps the start of each run only if there are at most S // _RUN_SHARE
-    runs, so a dust of distinct points never holds an S-sized index, and
-    the kept starts take at most 1/_RUN_SHARE of the points' own bytes.
+    A dust holds values, its sorted points with each run of bit-equal
+    points stored once (so they never decrease, and 0.0, -0.0, 0.0 are
+    three runs), and counts, each run's length, while it has at most
+    S // _RUN_SHARE runs. Past that it holds every point as a value, and
+    counts is None. So a cascade dust holds at most 2^depth values and
+    counts, and a dust of distinct points never holds an S-sized index.
+
+    CantorDust(points) finds the runs in the pass that checks the points'
+    order (see _order_and_runs), and sorts the points only if they are out
+    of order. CantorDust(values, counts) takes runs in any order, as the
+    cascade generators give them, and sorts and joins them (see
+    _joined_runs) without making the S points. Either way the dust holds
+    its own arrays. points builds the S sorted points on each access;
+    sample_size does not.
     """
 
-    points: np.ndarray
-    # the start of each run of equal points, or None; see _order_and_runs
-    _runs: np.ndarray | None = field(default=None, init=False, repr=False)
+    values: np.ndarray
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
+        values = np.asarray(self.values, dtype=float)
+        if values.size == 0:
             raise FormatError("dust must contain at least one point")
-        in_order, runs = _order_and_runs(pts)
-        # NaN fails the check and sorts last. Either way the dust holds its
-        # own copy.
-        if in_order:
-            pts = np.array(pts)
+        if self.counts is None:
+            values, counts = _point_runs(values)
         else:
-            pts = np.sort(pts)
-            runs = _order_and_runs(pts)[1]
-        if not (pts[0] >= 0.0 and pts[-1] <= 1.0):
+            values, counts = _joined_runs(values, self.counts)
+        if not (values[0] >= 0.0 and values[-1] <= 1.0):
             raise FormatError("dust points must lie in [0,1]")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The S sorted points, the values each repeated by its count:
+        8S bytes, built on each access."""
+        return self.values if self.counts is None else np.repeat(self.values,
+                                                                 self.counts)
 
     @property
     def sample_size(self) -> int:
-        return int(self.points.size)
+        return int(self.values.size if self.counts is None
+                   else self.counts.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,12 +211,12 @@ _BATCH_EDGES = 1 << 20
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     """Cover [0,1] with B equal boxes and count dust points per box.
 
-    A point p lies in box min(int(p*B), B-1). A dust that kept its runs of
-    equal points (see CantorDust) is counted by that key: each run's value
-    is keyed once and the run's length added to its box, which is keying
-    every point. A dust that kept no runs is searched. Multiplying by B is
-    monotone under IEEE rounding, so the key never decreases along the
-    sorted points CantorDust guarantees. So the points keyed below i, for
+    A point p lies in box min(int(p*B), B-1). A dust that holds counts
+    (see CantorDust) is counted by that key: each value is keyed once and
+    its run's count added to its box, which is keying every point. A dust
+    without counts is searched. Multiplying by B is monotone under IEEE
+    rounding, so the key never decreases along the sorted points
+    CantorDust guarantees. So the points keyed below i, for
     0 < i < B, are exactly the points below t_i, the least double whose
     key is >= i: box i holds the points from the first >= t_i up to the
     first >= t_(i+1). One search of the t_i finds them in O(B log S) work
@@ -186,38 +235,38 @@ def cover(dust: CantorDust, B: int) -> NaturalMeasure:
 def covers(dust: CantorDust, B_list):
     """Yield cover(dust, B) for each B of B_list, in order.
 
-    A dust that kept its runs keys each run's value once per B. Otherwise
-    the inner edges t_i of every B are merged into one sorted array and
-    found by one search of the dust, so needles that sit close together
-    read the same stretch of points. The search runs once per batch of at
-    most _BATCH_EDGES edges, or of the largest B's edges if it has more.
+    A dust that holds counts keys each value once per B, and never builds
+    its points. Otherwise the inner edges t_i of every B are merged into
+    one sorted array and found by one search of the dust, so needles that
+    sit close together read the same stretch of points. The search runs
+    once per batch of at most _BATCH_EDGES edges, or of the largest B's
+    edges if it has more.
     """
     B_list = list(B_list)
     for B in B_list:
         _check_count(B, 2, "box count", BadBoxCount)
-    if dust._runs is not None:
-        yield from _cover_runs(dust.points, dust._runs, B_list)
+    if dust.counts is not None:
+        yield from _cover_runs(dust.values, dust.counts, B_list)
         return
     cap = max([_BATCH_EDGES, *(B - 1 for B in B_list)])
     batch, edges = [], 0
     for B in B_list:
         if edges + B - 1 > cap:
-            yield from _cover_batch(dust.points, batch)
+            yield from _cover_batch(dust.values, batch)
             batch, edges = [], 0
         batch.append(B)
         edges += B - 1
     if batch:
-        yield from _cover_batch(dust.points, batch)
+        yield from _cover_batch(dust.values, batch)
 
 
-def _cover_runs(points: np.ndarray, starts: np.ndarray, B_list):
-    """Yield the NaturalMeasure of each B of B_list over the points, whose
-    runs of equal points begin at starts: each run's value is keyed once
-    and counted as many times as the run is long. The weighted counts are
-    whole numbers of at most S, far below 2^53, so they are exact as
-    floats."""
-    values = points[starts]
-    lengths = np.diff(starts, append=points.size).astype(float)
+def _cover_runs(values: np.ndarray, counts: np.ndarray, B_list):
+    """Yield the NaturalMeasure of each B of B_list over the runs of a
+    dust: each value is keyed once and counted as many times as its run is
+    long. The weighted counts are whole numbers of at most S, so they are
+    exact as floats while S is at most 2^53, which no sample that can be
+    drawn reaches."""
+    lengths = counts.astype(float)
     for B in B_list:
         keys = (values * B).astype(np.int64)
         np.minimum(keys, int(B) - 1, out=keys)
@@ -337,25 +386,46 @@ def read_dust(path) -> CantorDust:
 
 def _dust_text(pts: np.ndarray) -> str:
     """The lines of sorted points pts, one repr per point. Equal points sit
-    together, so each run of them is converted once and repeated. Runs
-    compare bits, since -0.0 == 0.0 but their reprs differ. A run costs
-    about 1.25 times a line of the plain join, so pts with fewer than a
-    fifth of their lines repeated are joined line by line."""
+    together, so each run of them is converted once and repeated (see
+    _runs_text). Runs compare bits, since -0.0 == 0.0 but their reprs
+    differ. A run costs about 1.25 times a line of the plain join, so pts
+    with fewer than a fifth of their lines repeated are joined line by
+    line."""
     bits = pts.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     if 5 * starts.size >= 4 * pts.size:
         return "\n".join(map(repr, pts.tolist())) + "\n"
-    lines = [repr(v) + "\n" for v in pts[starts].tolist()]
-    return "".join(map(str.__mul__, lines,
-                       np.diff(starts, append=pts.size).tolist()))
+    return "".join(_runs_text(pts[starts], np.diff(starts, append=pts.size)))
+
+
+def _runs_text(values: np.ndarray, counts: np.ndarray):
+    """Yield the lines of the runs, each value's repr once per point of its
+    run, as one text per run within each chunk of _CHUNK_LINES points: a
+    run across a chunk's end is split there, so no text holds more than a
+    chunk of lines, and each value is converted once in each chunk it
+    reaches. Each text is written as it is made: joining a chunk's
+    megabyte of text took fresh pages on every chunk in a process that had
+    freed no large array."""
+    ends = np.cumsum(counts)
+    for lo in range(0, int(ends[-1]), _CHUNK_LINES):
+        hi = lo + _CHUNK_LINES
+        # runs a to b - 1 end past lo, and all but the last end before hi
+        a = np.searchsorted(ends, lo, "right")
+        b = np.searchsorted(ends, hi) + 1
+        lines = [repr(v) + "\n" for v in values[a:b].tolist()]
+        n = np.diff(np.clip(ends[a:b], lo, hi), prepend=lo)
+        yield from map(str.__mul__, lines, n.tolist())
 
 
 def write_dust(dust: CantorDust, path, header: dict | None = None) -> None:
     """Write a dust file atomically (temp file + rename), converting the
-    points to text _CHUNK_LINES at a time; see _dust_text."""
-    pts = dust.points
-    chunks = (_dust_text(pts[i:i + _CHUNK_LINES])
-              for i in range(0, pts.size, _CHUNK_LINES))
+    points to text _CHUNK_LINES at a time: a dust with counts from its
+    runs (_runs_text), without making its points, and any other dust from
+    its points (_dust_text)."""
+    pts = dust.values
+    chunks = (_runs_text(pts, dust.counts) if dust.counts is not None else
+              (_dust_text(pts[i:i + _CHUNK_LINES])
+               for i in range(0, pts.size, _CHUNK_LINES)))
     atomic_write(path, chain([format_header((header or {}).items())], chunks))
 
 

@@ -12,6 +12,7 @@ counts of 91-124 at Q=200, B=110. Uniform dusts give the trivial (1,1) case.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -152,12 +153,13 @@ def _cpus() -> int:
 
 
 def _cascade_points(spec: SelfSimilarSpec, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: np.random.Generator):
     """Sample n points i.i.d. from the depth-d cascade measure: walk d levels
     choosing child 1 with probability p1, return final-interval midpoints.
     Child 1 is left-aligned, child 2 right-aligned (middle gap). The points
     are those of the walk that draws each level as one rng.random(n) call.
     rng is read through copies of its bit generator and is not moved.
+    Returns (values, counts), as CantorDust takes them.
 
     A point depends only on its path, so the first k = min(d, _TABLE_LEVELS)
     levels are tabulated (_path_table). Level j's draw for point i is
@@ -168,20 +170,31 @@ def _cascade_points(spec: SelfSimilarSpec, n: int,
     code = (code << 1) | (u >= p1). No split changes a point.
 
     With d <= _TABLE_LEVELS a point is its path's midpoint, so the blocks
-    only count points per path, and the output is each midpoint repeated by
-    its count, in code order. Code order is left to right, so that is the
-    walk's points sorted: every point is a midpoint > 0, so the multiset
-    fixes the sorted array. (CantorDust checks the order, so a table whose
-    rounding crossed two midpoints would still give the sorted dust.) The
-    table is built only once the counting is done, so it and the blocks'
-    buffers never coexist. With d > _TABLE_LEVELS the blocks walk on from
-    their paths' lo and length and write the points in draw order. The
-    n-point output is allocated before the first draw, so a sample too
-    large to hold fails at once.
+    only count points per path, and the sample is its runs: the midpoint
+    and count of each path that has a point, in code order, at most 2^d of
+    each and never the n points. Code order is left to right, so
+    np.repeat(values, counts) is the walk's points sorted: every point is
+    a midpoint > 0, so the multiset fixes the sorted array. (CantorDust
+    sorts the runs, so a table whose rounding crossed two midpoints would
+    still give the sorted dust.) The table is built only once the counting
+    is done, so it and the blocks' buffers never coexist. With
+    d > _TABLE_LEVELS the blocks walk on from their paths' lo and length
+    and write the points in draw order, as values, with counts None.
+
+    Either way a sample too large to hold fails before the first draw, as
+    its dust stands for n points and its points view builds them: below
+    the table the n-point output is allocated first, and within it 8n
+    bytes are mapped and unmapped with no page touched, which takes no
+    memory.
     """
-    out = np.empty(n)
-    below = out if spec.depth > _TABLE_LEVELS else None
-    lo, length = _path_table(spec) if below is not None else (None, None)
+    if spec.depth > _TABLE_LEVELS:
+        below, (lo, length) = np.empty(n), _path_table(spec)
+    else:
+        below = lo = length = None
+        try:
+            mmap.mmap(-1, 8 * n).close()
+        except OSError:
+            raise MemoryError(f"{n} points do not fit in memory") from None
     workers = max(1, min(_cpus(), n // (2 * _BLOCK)))
     cuts = [n * i // workers for i in range(workers + 1)]
     parts = [None] * workers
@@ -203,28 +216,21 @@ def _cascade_points(spec: SelfSimilarSpec, n: int,
         if isinstance(part, BaseException):
             raise part
     if below is not None:
-        return out
+        return below, None
     counts = parts[0]
     for part in parts[1:]:
         counts += part
     del parts
     lo, length = _path_table(spec)
-    mids = lo + 0.5 * length
-    del lo, length
     used = np.flatnonzero(counts)
-    at = 0
-    for i in range(0, used.size, 1024):  # a few Python numbers at a time
-        some = used[i:i + 1024]
-        for mid, count in zip(mids[some].tolist(), counts[some].tolist()):
-            out[at:at + count] = mid
-            at += count
-    return out
+    return lo[used] + 0.5 * length[used], counts[used]
 
 
 def gen_selfsimilar(spec: SelfSimilarSpec) -> CantorDust:
-    """Deterministic dust of spec.S cascade samples (seeded RNG)."""
+    """Deterministic dust of spec.S cascade samples (seeded RNG), built
+    from its runs when its depth is tabulated (see _cascade_points)."""
     rng = np.random.default_rng(spec.seed)
-    return CantorDust(_cascade_points(spec, spec.S, rng))
+    return CantorDust(*_cascade_points(spec, spec.S, rng))
 
 
 def gen_superposed(spec_a: SelfSimilarSpec, spec_b: SelfSimilarSpec,
@@ -232,21 +238,31 @@ def gen_superposed(spec_a: SelfSimilarSpec, spec_b: SelfSimilarSpec,
     """Union dust from two cascades sharing the unit segment.
 
     mix is the fraction of the total budget (spec_a.S + spec_b.S) drawn from
-    the first cascade. With disjoint=True the first measure is squeezed into
-    [0, 0.5) and the second into [0.5, 1], so each keeps its own support.
+    the first cascade, round(mix * total) points; a mix that leaves either
+    cascade no point is refused. With disjoint=True the first measure is
+    squeezed into [0, 0.5) and the second into [0.5, 1], so each keeps its
+    own support. Two cascades sampled as runs (see _cascade_points) are
+    joined as runs, without making the union's points.
     """
     if not 0.0 < mix < 1.0:
         raise SpecError(f"mix must lie strictly in (0,1), got {mix}")
     total = spec_a.S + spec_b.S
     _check_count(total, 2, "sample size")
-    n_a = round(mix * total)
-    n_b = total - n_a
-    pts_a = _cascade_points(spec_a, n_a, np.random.default_rng(spec_a.seed))
-    pts_b = _cascade_points(spec_b, n_b, np.random.default_rng(spec_b.seed))
+    sizes = {"spec_a": round(mix * total)}
+    sizes["spec_b"] = total - sizes["spec_a"]
+    for name, n in sizes.items():
+        if n == 0:
+            raise SpecError(f"mix {mix} gives {name} 0 of {total} points")
+    (a, counts_a), (b, counts_b) = (
+        _cascade_points(spec, n, np.random.default_rng(spec.seed))
+        for spec, n in zip((spec_a, spec_b), sizes.values()))
     if disjoint:
-        pts_a = 0.5 * pts_a
-        pts_b = 0.5 + 0.5 * pts_b
-    return CantorDust(np.concatenate([pts_a, pts_b]))
+        a, b = 0.5 * a, 0.5 + 0.5 * b
+    if counts_a is None or counts_b is None:  # walked below the table
+        return CantorDust(np.concatenate([CantorDust(a, counts_a).points,
+                                          CantorDust(b, counts_b).points]))
+    return CantorDust(np.concatenate([a, b]),
+                      np.concatenate([counts_a, counts_b]))
 
 
 def oracle_spectrum(spec: SelfSimilarSpec, q_grid) -> OracleSpectrum:

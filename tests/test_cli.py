@@ -77,6 +77,21 @@ class TestGenerate:
                 if l and not l.startswith("#")]
         assert len(rows) == 1000
 
+    @pytest.mark.parametrize("mix, name", [("0.001", "spec_a"),
+                                           ("0.999", "spec_b")])
+    def test_superposed_mix_that_leaves_a_cascade_no_point_exits_2(
+            self, tmp_path, capsys, mix, name):
+        spec = {"p": [0.5, 0.5], "r": [0.3, 0.3], "depth": 4, "S": 50}
+        (tmp_path / "a.json").write_text(json.dumps(spec))
+        out = tmp_path / "mix.txt"
+        assert run("generate", "superposed", "--spec-a",
+                   str(tmp_path / "a.json"), "--spec-b",
+                   str(tmp_path / "a.json"), "--mix", mix,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: mix {mix} gives {name} 0 of 100 points"]
+        assert not out.exists()
+
 
 # The flags each kind reads, each with two values that give different
 # dusts or headers; None marks a switch. Every kind also reads --out.

@@ -55,12 +55,14 @@ def dust_points(kind, S):
 @pytest.mark.parametrize("kind, kept", [
     ("distinct", False), ("cascade", True), ("shuffled-cascade", True)])
 def test_order_check_and_runs_hold_no_s_byte_temporary(kind, kept):
-    """Past the points' own copy (8 bytes a point), CantorDust holds at most
-    the kept run starts twice over, as the chunks' pieces and their join
-    (8 bytes a start, at most S // _RUN_SHARE of them), and a chunk's two
-    comparison masks (a byte a point), with room to spare: 2 * _CHUNK_LINES
-    more. A one-byte-a-point mask over the whole dust, 2^20 bytes, would
-    not fit."""
+    """Past a copy of the points (8 bytes a point), which a dust without
+    counts holds and a dust given out of order sorts into, CantorDust holds
+    at most the kept run starts twice over, as the chunks' pieces and their
+    join (8 bytes a start, at most S // _RUN_SHARE of them), or the starts,
+    the values and counts made from them and np.diff's appended copy, and a
+    chunk's two comparison masks (a byte a point), with room to spare:
+    2 * _CHUNK_LINES more. A one-byte-a-point mask over the whole dust,
+    2^20 bytes, would not fit."""
     S = 2**20
     points = dust_points(kind, S)
     bound = (8 * S + 2 * 8 * (S // measure._RUN_SHARE)
@@ -72,7 +74,7 @@ def test_order_check_and_runs_hold_no_s_byte_temporary(kind, kept):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (dust._runs is not None) == kept
+    assert (dust.counts is not None) == kept
     assert peak <= bound
 
 

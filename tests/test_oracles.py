@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mfkappa import oracles
-from mfkappa.errors import SpecError
-from mfkappa.measure import _MAX_COUNT, CantorDust
+from mfkappa.errors import FormatError, SpecError
+from mfkappa.measure import _MAX_COUNT, CantorDust, covers, write_dust
 from mfkappa.oracles import (_BLOCK, _TABLE_LEVELS, SelfSimilarSpec,
                              _cascade_points, _cascade_range, _path_table,
                              gen_farey, gen_selfsimilar, gen_superposed,
@@ -150,6 +150,14 @@ def _bits(points):
     return np.asarray(points).view(np.int64)
 
 
+def _sampled(spec, n, rng):
+    """_cascade_points's sample as points: in draw order below the table,
+    where it gives no counts, and np.repeat(values, counts) within it."""
+    values, counts = _cascade_points(spec, n, rng)
+    assert (counts is None) == (spec.depth > _TABLE_LEVELS)
+    return values if counts is None else np.repeat(values, counts)
+
+
 class TestCascadeSampler:
     """The blocked, threaded sampler gives the dust of the level-by-level
     walk bit for bit, in draw order below the table, for any split of its
@@ -166,7 +174,7 @@ class TestCascadeSampler:
         spec = _walk_spec(name, S, seed=S % 5)
         ref = _walk_points(spec, S, np.random.default_rng(spec.seed))
         if spec.depth > _TABLE_LEVELS or S == 1:
-            new = _cascade_points(spec, S, np.random.default_rng(spec.seed))
+            new = _sampled(spec, S, np.random.default_rng(spec.seed))
             assert np.array_equal(_bits(new), _bits(ref))
         else:
             dust = gen_selfsimilar(spec)
@@ -198,7 +206,7 @@ class TestCascadeSampler:
         monkeypatch.setattr(oracles, "_cpus", lambda: cpus)
         spec = _walk_spec(name, 6 * _BLOCK + 5, seed=3)
         ref = _walk_points(spec, spec.S, np.random.default_rng(3))
-        new = _cascade_points(spec, spec.S, np.random.default_rng(3))
+        new = _sampled(spec, spec.S, np.random.default_rng(3))
         if spec.depth <= _TABLE_LEVELS:  # counted: the sorted walk
             ref = np.sort(ref)
         assert np.array_equal(_bits(new), _bits(ref))
@@ -255,6 +263,167 @@ class TestCascadeSampler:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+
+# box counts the held dusts are covered at, from 2 to 2049, which is odd,
+# so its edges are not dyadic
+HELD_BOXES = [2, 7, 64, 1000, 2049]
+
+
+def assert_dust_holds(dust, points, counted, tmp_path):
+    """dust is the sorted points, as a dust that keys them one by one would
+    be: its points view is the points bit for bit, its covers at
+    HELD_BOXES count what keying every point counts, and write_dust writes
+    the plain per-point repr join. counted says whether the dust holds its
+    runs as values and counts (so covers keys its runs and write_dust
+    repeats their lines) or every point."""
+    assert (dust.counts is not None) == counted
+    assert dust.sample_size == points.size
+    assert np.array_equal(_bits(dust.points), _bits(points))
+    for B, m in zip(HELD_BOXES, covers(dust, HELD_BOXES), strict=True):
+        keys = np.minimum((points * B).astype(np.int64), B - 1)
+        assert np.array_equal(m.counts, np.bincount(keys, minlength=B)), B
+    path = tmp_path / "dust.txt"
+    write_dust(dust, path)
+    # compared first, so that a failure does not diff megabytes of text
+    same = path.read_text() == "".join(f"{p!r}\n" for p in points.tolist())
+    assert same, "write_dust's text is not the per-point repr join"
+
+
+class TestDustHeldAsRuns:
+    """Every generator's dust, held as its runs or as its points, is the
+    dust of the points it stands for (old == new): the cascades' against
+    the level-by-level walk, sorted, and the others against an
+    enumeration or the same draws. A dust holds its runs while it has at
+    most S // _RUN_SHARE of them, so none does at S = 1 or 7, of the
+    cascades at S = 1e5 only the depth-5 one does, and the depth-13 ones
+    do from S = 2^19 on."""
+
+    @pytest.mark.parametrize("S", [1, 7, 100_000])
+    @pytest.mark.parametrize("name", WALK_SPECS)
+    def test_selfsimilar(self, tmp_path, name, S):
+        spec = _walk_spec(name, S, seed=S % 5)
+        ref = np.sort(_walk_points(spec, S, np.random.default_rng(spec.seed)))
+        counted = S == 100_000 and name == "shallow"
+        assert_dust_holds(gen_selfsimilar(spec), ref, counted, tmp_path)
+
+    @pytest.mark.parametrize("name", ["binomial", "unequal-ratios"])
+    def test_selfsimilar_at_depth_13_holds_its_runs(self, tmp_path, name):
+        spec = _walk_spec(name, 2**20, seed=11)
+        ref = np.sort(_walk_points(spec, spec.S, np.random.default_rng(11)))
+        assert_dust_holds(gen_selfsimilar(spec), ref, True, tmp_path)
+
+    @pytest.mark.parametrize("a, b, disjoint, counted", [
+        (("shallow", 100_000, 1), ("shallow", 100_000, 2), False, True),
+        (("shallow", 50_000, 1), ("binomial", 2**19, 2), True, True),
+        (("binomial", 2**19, 3), ("unequal-ratios", 2**19, 4), False, True),
+        (("middle-third", 100_000, 1), ("below-table", 100_003, 2), True,
+         False),
+        (("binomial", 7, 1), ("unequal-ratios", 7, 2), False, False),
+    ], ids=["overlapping-same-tree", "disjoint", "overlapping",
+            "disjoint-below-table", "overlapping-S-7"])
+    def test_superposed(self, tmp_path, a, b, disjoint, counted):
+        # the first pair shares every value, so their runs join; the fourth
+        # joins a dust of runs with one of points in draw order
+        a, b = _walk_spec(a[0], a[1], a[2]), _walk_spec(b[0], b[1], b[2])
+        n_a = round(0.4 * (a.S + b.S))
+        pts_a = _walk_points(a, n_a, np.random.default_rng(a.seed))
+        pts_b = _walk_points(b, a.S + b.S - n_a, np.random.default_rng(b.seed))
+        if disjoint:
+            pts_a, pts_b = 0.5 * pts_a, 0.5 + 0.5 * pts_b
+        ref = np.sort(np.concatenate([pts_a, pts_b]))
+        dust = gen_superposed(a, b, 0.4, disjoint=disjoint)
+        assert_dust_holds(dust, ref, counted, tmp_path)
+
+    @pytest.mark.parametrize("Q", [2, 30, 300])
+    def test_farey(self, tmp_path, Q):
+        ref = np.array(sorted({float(Fraction(p, q)) for q in range(1, Q + 1)
+                               for p in range(0, q + 1)}))
+        assert_dust_holds(gen_farey(Q), ref, False, tmp_path)
+
+    @pytest.mark.parametrize("mode", ["equispaced", "random"])
+    def test_uniform(self, tmp_path, mode):
+        S = 100_000
+        ref = ((np.arange(S) + 0.5) / S if mode == "equispaced"
+               else np.sort(np.random.default_rng(8).random(S)))
+        assert_dust_holds(gen_uniform(S, mode, seed=8), ref, False, tmp_path)
+
+    def test_signed_zeros_and_one_from_points_and_from_runs(self, tmp_path):
+        # -0.0 == 0.0, so these points are in order and make four runs;
+        # given as runs out of order, the runs sort stably and equal bits
+        # join
+        ref = np.repeat([0.0, -0.0, 0.0, 1.0], 64)
+        dust = CantorDust(ref)
+        assert np.array_equal(_bits(dust.values), _bits([0.0, -0.0, 0.0, 1.0]))
+        assert dust.counts.tolist() == [64, 64, 64, 64]
+        assert_dust_holds(dust, ref, True, tmp_path)
+        runs = CantorDust(np.array([1.0, 0.0, -0.0, 1.0, 0.0]),
+                          np.array([30, 64, 64, 34, 64]))
+        assert np.array_equal(_bits(runs.values), _bits(dust.values))
+        assert np.array_equal(runs.counts, dust.counts)
+        assert_dust_holds(runs, ref, True, tmp_path)
+
+    @pytest.mark.parametrize("middle, counted", [(0, True), (2, False)],
+                             ids=["at-the-cap", "one-run-past-it"])
+    def test_runs_are_held_as_points_past_the_cap(self, tmp_path, middle,
+                                                  counted):
+        # 2 runs in 128 points, 128 // 64; or 3 runs in 130, past 130 // 64
+        values, counts = np.array([0.75, 0.25, 0.5]), np.array([64, 64, 0])
+        counts[2] = middle
+        kept = counts > 0
+        dust = CantorDust(values[kept], counts[kept])
+        ref = np.repeat([0.25, 0.5, 0.75], [64, middle, 64])
+        assert_dust_holds(dust, ref, counted, tmp_path)
+
+    @pytest.mark.parametrize("counts", [
+        [2, 0], [2, -1], [2.0, 3.0], [2], [[2, 3]]],
+        ids=["zero", "negative", "float", "too-few", "two-dimensional"])
+    def test_counts_that_are_not_one_positive_integer_a_value(self, counts):
+        with pytest.raises(FormatError, match="dust counts must be positive "
+                           "integers, one per value") as exc:
+            CantorDust(np.array([0.25, 0.5]), np.array(counts))
+        assert exc.value.exit_code == 1
+
+    @pytest.mark.parametrize("values", [[0.5, -0.25], [np.nan, 0.5],
+                                        [0.5, 1.5]])
+    def test_runs_off_the_segment_are_refused(self, values):
+        with pytest.raises(FormatError, match="dust points must lie in"):
+            CantorDust(np.array(values), np.array([64, 64]))
+
+
+def test_cascade_dust_and_its_covers_hold_no_point_array(monkeypatch):
+    """gen_selfsimilar at S = 2^20 and depth 13 on one thread, then covers
+    at 11 box counts, peaks below S bytes, an eighth of the S points'
+    8S. The peak is the draw's, past a warm-up that makes the first-call
+    imports:
+    - the thread's count table and bincount's table per block (2 * 8 bytes
+      a path, 2^13 paths);
+    - the block buffers, _BLOCK points each: a draw (8 bytes a point), a
+      path code (4), its intp copy in bincount (8) and a comparison mask
+      (1), 21 bytes a point;
+    - 64 KB for the generators, the thread and the box counts' arrays.
+    What comes after the draw is smaller: the count table, the path table
+    (at most 5 * 8 bytes a path), then the values and counts and their
+    sorted copies as CantorDust joins the runs (4 * 8 bytes a path). Each
+    more thread adds its own table and block buffers, whatever S is."""
+    monkeypatch.setattr(oracles, "_cpus", lambda: 1)
+    S, paths = 2**20, 2**13
+    spec = SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), 13, S, 4242)
+    boxes = [int(B) for B in np.geomspace(100, 2 * math.isqrt(S), 11)]
+    list(covers(gen_selfsimilar(SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), 13,
+                                                1000, 1)), boxes))
+    bound = 2 * 8 * paths + 21 * _BLOCK + 64 * 1024
+    assert max(8 * paths + 5 * 8 * paths, 4 * 8 * paths) < bound < S
+    tracemalloc.start()
+    try:
+        dust = gen_selfsimilar(spec)
+        measures = list(covers(dust, boxes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dust.sample_size == S and dust.values.size <= paths
+    assert all(m.counts.sum() == S for m in measures)
+    assert peak <= bound
 
 
 # q in [-5, 5] in steps of 0.05, with 0 and 1 on the grid exactly
@@ -506,6 +675,27 @@ class TestSuperposed:
         dust = gen_superposed(self.spec(1 / 3, S=60), self.spec(1 / 9, S=40),
                               mix=0.5)
         assert dust.sample_size == 100
+
+    @pytest.mark.parametrize("mix, name", [
+        (0.001, "spec_a"), (0.005, "spec_a"), (0.995, "spec_b"),
+        (0.999, "spec_b")])
+    def test_a_mix_that_leaves_a_cascade_no_point_is_refused(self, mix,
+                                                             name):
+        # round(mix * 100) is 0 or 100 (0.5 rounds to even), so one cascade
+        # would give the union none of its points
+        with pytest.raises(SpecError, match=f"^mix {mix} gives {name} 0 of "
+                           "100 points$") as exc:
+            gen_superposed(self.spec(1 / 3, S=50), self.spec(1 / 9, S=50),
+                           mix=mix)
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("mix", [0.01, 0.99])
+    def test_a_mix_that_leaves_a_cascade_one_point_is_kept(self, mix):
+        dust = gen_superposed(self.spec(1 / 3, S=50), self.spec(1 / 9, S=50),
+                              mix=mix, disjoint=True)
+        below = np.count_nonzero(dust.points < 0.5)
+        assert dust.sample_size == 100
+        assert below == round(mix * 100)
 
     def test_disjoint_placement(self):
         dust = gen_superposed(self.spec(1 / 3, seed=1),

@@ -513,12 +513,18 @@ def run_starts(points):
 
 
 def assert_runs_kept(dust, kept):
-    """The dust kept its run starts, so covers keys its runs, or kept none,
-    so covers searches it."""
+    """The dust holds its runs of bit-equal points, each value once with
+    its run's length as its count, so covers keys its runs, or holds no
+    counts, so covers searches it."""
     if kept:
-        assert np.array_equal(dust._runs, run_starts(dust.points))
+        points = dust.points
+        starts = run_starts(points)
+        assert np.array_equal(dust.values.view(np.int64),
+                              points[starts].view(np.int64))
+        assert np.array_equal(dust.counts, np.diff(starts,
+                                                   append=points.size))
     else:
-        assert dust._runs is None
+        assert dust.counts is None
 
 
 def cascade(S, depth, seed=3):
@@ -558,7 +564,7 @@ def test_run_keyed_cover_matches_bincount_on_signed_zeros_and_one(B):
     points = np.repeat([0.0, -0.0, 0.0, 1.0], 64)
     dust = CantorDust(points)
     assert_runs_kept(dust, True)
-    assert np.array_equal(dust._runs, [0, 64, 128, 192])
+    assert np.array_equal(dust.counts, [64, 64, 64, 64])
     assert_cover_matches_bincount(dust, swept(B))
 
 

@@ -80,8 +80,12 @@ def loaded_modules(tmp_path, argv, code=0):
     (["--help"], 0), (["generate", "selfsimilar", "--help"], 0),
     (["analyze", "x", "--bogus"], 2)], ids=["help", "kind-help", "bad-flag"])
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):
+    # the benchmark's cli set-up times one `mfk --help`: that process loads
+    # these three of the package's modules and nothing of numpy
     loaded = loaded_modules(tmp_path, argv, code)
     assert loaded.isdisjoint(("numpy", *LIBRARY))
+    assert {name for name in loaded if name.partition(".")[0] == "mfkappa"} \
+        == {"mfkappa", "mfkappa.cli", "mfkappa.errors"}
 
 
 @pytest.fixture
