@@ -17,8 +17,7 @@ those of keying every point, at O(runs) cost per box count. A dust without
 counts is searched: a point's box key int(p*B) never decreases in p, so
 the points keyed below i are the points below the first double whose key
 reaches i (see cover). cover finds those first keys by one search of the
-sorted points, at O(B log S) cost rather than O(S), and covers finds the
-first keys of every box count of a sweep in one merged search.
+sorted points, at O(B log S) cost rather than O(S).
 """
 
 from __future__ import annotations
@@ -39,11 +38,11 @@ _CHUNK_LINES = 1 << 16
 
 # A dust holds its runs of equal points while it has at most S // _RUN_SHARE
 # of them. Timed on a 2-vCPU host over sorted dusts of S // share values,
-# each repeated share times, keying the runs over an 11-B sweep took about
-# as long as the merged search at share 64 and S = 1e7 (11.7 vs 11.1 ms)
-# and half as long at S = 1e6 (0.8 vs 1.7 ms); at share 128 it took half
-# or less at both sizes, and at share 32 up to 2.3 times as long. 64 still
-# keeps the runs of a 1e6-point depth-13 cascade (8,106 values).
+# each repeated share times, covering them at 11 box counts by keying the
+# runs took 9.1 ms at share 64 and S = 1e7, against 13.7 ms by searching
+# the points, and 0.7 against 6.7 ms at S = 1e6; at share 128 keying took
+# a quarter or less at both sizes, and at share 32 up to 1.4 times as long.
+# 64 still keeps the runs of a 1e6-point depth-13 cascade (8,106 values).
 _RUN_SHARE = 64
 
 
@@ -163,6 +162,8 @@ class CantorDust:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise FormatError("dust points must be a 1-D array")
         if values.size == 0:
             raise FormatError("dust must contain at least one point")
         if self.counts is None:
@@ -190,9 +191,19 @@ class CantorDust:
 @dataclass(frozen=True, eq=False)
 class NaturalMeasure:
     """Per-box probabilities over B equal boxes covering [0,1], from any
-    nonnegative mass per box: point counts or exact weights alike."""
+    1-D array of at least 2 finite nonnegative masses with a positive sum:
+    point counts or exact weights alike."""
 
     counts: np.ndarray  # mass per box; B = counts.size
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts)
+        if not (counts.ndim == 1 and counts.size >= 2
+                and counts.dtype.kind in "iuf" and counts.min() >= 0
+                and 0 < counts.sum() < np.inf):
+            raise FormatError("box masses must be a 1-D array of at least 2 "
+                              "finite nonnegative numbers with a positive sum")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def box_count(self) -> int:
@@ -203,81 +214,39 @@ class NaturalMeasure:
         return self.counts / self.counts.sum()
 
 
-# Box edges that covers merges into one search, unless the largest B has
-# more: a sweep's memory follows its largest B, not the sum of its Bs.
-_BATCH_EDGES = 1 << 20
-
-
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     """Cover [0,1] with B equal boxes and count dust points per box.
 
     A point p lies in box min(int(p*B), B-1). A dust that holds counts
     (see CantorDust) is counted by that key: each value is keyed once and
-    its run's count added to its box, which is keying every point. A dust
-    without counts is searched. Multiplying by B is monotone under IEEE
-    rounding, so the key never decreases along the sorted points
-    CantorDust guarantees. So the points keyed below i, for
-    0 < i < B, are exactly the points below t_i, the least double whose
-    key is >= i: box i holds the points from the first >= t_i up to the
-    first >= t_(i+1). One search of the t_i finds them in O(B log S) work
-    instead of keying all S points. Each t_i is found from the key itself
-    (see _first_keys), not from the edge i/B, so the counts are exactly
-    those of keying every point, as the run-keyed counts are: points on an
-    edge, at 1.0 or an ulp off an edge land in the box the key gives them;
-    no point keys below 0, and the clamp puts p == 1.0 in the closed last
-    box. Multiplying by 2 commutes with IEEE rounding, so cover(dust, 2B)
-    still refines cover(dust, B) exactly.
+    its run's count added to its box, which is keying every point. The
+    weighted counts are whole numbers of at most S, exact as floats while
+    S <= 2^53, which no sample that can be drawn reaches. A dust without
+    counts is searched. Multiplying by B is monotone under IEEE rounding,
+    so the key never decreases along the sorted points, and the points
+    keyed below i, for 0 < i < B, are exactly those below t_i, the least
+    double whose key is >= i. One search of the t_i counts every box in
+    O(B log S) work instead of keying all S points. Each t_i is found from
+    the key itself (see _first_keys), not from the edge i/B, so a point on
+    an edge or an ulp off one lands in the box its key gives it, and the
+    clamp puts p == 1.0 in the closed last box. Multiplying by 2 commutes
+    with IEEE rounding, so cover(dust, 2B) still refines cover(dust, B)
+    exactly.
     """
-    (measure,) = covers(dust, [B])
-    return measure
-
-
-def covers(dust: CantorDust, B_list):
-    """Yield cover(dust, B) for each B of B_list, in order.
-
-    A dust that holds counts keys each value once per B, and never builds
-    its points. Otherwise the inner edges t_i of every B are merged into
-    one sorted array and found by one search of the dust, so needles that
-    sit close together read the same stretch of points. The search runs
-    once per batch of at most _BATCH_EDGES edges, or of the largest B's
-    edges if it has more.
-    """
-    B_list = list(B_list)
-    for B in B_list:
-        _check_count(B, 2, "box count", BadBoxCount)
+    _check_count(B, 2, "box count", BadBoxCount)
     if dust.counts is not None:
-        yield from _cover_runs(dust.values, dust.counts, B_list)
-        return
-    cap = max([_BATCH_EDGES, *(B - 1 for B in B_list)])
-    batch, edges = [], 0
-    for B in B_list:
-        if edges + B - 1 > cap:
-            yield from _cover_batch(dust.values, batch)
-            batch, edges = [], 0
-        batch.append(B)
-        edges += B - 1
-    if batch:
-        yield from _cover_batch(dust.values, batch)
-
-
-def _cover_runs(values: np.ndarray, counts: np.ndarray, B_list):
-    """Yield the NaturalMeasure of each B of B_list over the runs of a
-    dust: each value is keyed once and counted as many times as its run is
-    long. The weighted counts are whole numbers of at most S, so they are
-    exact as floats while S is at most 2^53, which no sample that can be
-    drawn reaches."""
-    lengths = counts.astype(float)
-    for B in B_list:
-        keys = (values * B).astype(np.int64)
+        keys = (dust.values * B).astype(np.int64)
         np.minimum(keys, int(B) - 1, out=keys)
-        counts = np.bincount(keys, weights=lengths, minlength=int(B))
-        yield NaturalMeasure(counts.astype(np.int64))
+        counts = np.bincount(keys, weights=dust.counts, minlength=int(B))
+        return NaturalMeasure(counts.astype(np.int64))
+    below = np.searchsorted(dust.values, _first_keys(np.arange(1.0, B), B))
+    return NaturalMeasure(np.diff(below, prepend=0, append=dust.values.size))
 
 
 def _first_keys(i: np.ndarray, B) -> np.ndarray:
     """For each whole number i >= 1 in the float array i, the least double
-    t whose key int(t*B), with t*B the float product, is >= i; B
-    broadcasts with i. As i is whole, the key reaches i when t*B does.
+    t whose key int(t*B), with t*B the float product, is >= i, at the box
+    count B. As i is whole, the key reaches i when t*B does.
 
     i/B lies an ulp or so from it. Stepping up an ulp while t*B falls
     short of i, then down while t*B an ulp lower still reaches i, lands on
@@ -291,22 +260,6 @@ def _first_keys(i: np.ndarray, B) -> np.ndarray:
     while (high := (bits - 1).view(float) * B >= i).any():
         bits -= high
     return bits.view(float)
-
-
-def _cover_batch(points: np.ndarray, B_list):
-    """Yield the NaturalMeasure of each B of B_list over the sorted points,
-    from one search of every inner edge of every B."""
-    inner = [B - 1 for B in B_list]
-    keys = _first_keys(np.concatenate([np.arange(1.0, B) for B in B_list]),
-                       np.repeat(np.array(B_list, dtype=float), inner))
-    order = np.argsort(keys, kind="stable")  # a merge of sorted runs
-    found = np.searchsorted(points, keys[order])
-    del keys  # none of these is held while the measures are yielded
-    below = np.empty_like(found)  # points keyed below each edge
-    below[order] = found
-    del order, found
-    for run in np.split(below, np.cumsum(inner[:-1])):
-        yield NaturalMeasure(np.diff(run, prepend=0, append=points.size))
 
 
 # --- file formats ---------------------------------------------------------

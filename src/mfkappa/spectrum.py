@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadBoxCount, FormatError, MfkError, SizingViolation
 from .measure import (CantorDust, NaturalMeasure, _check_count, _check_real,
-                      atomic_write, covers, format_header, read_rows)
+                      atomic_write, cover, format_header, read_rows)
 
 
 # the least magnitude of a nonzero spectrum point; 1 / _POINT_MIN the most
@@ -200,9 +200,9 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
     [100] is refused even beside 100: a refusal of one B (its sizing or its
     box count) is recorded in its entry and the sweep goes on; any other
     error, such as a bad bin count, applies to every B and is raised. The
-    Bs that size are then covered together (see covers), and each cover's
-    alpha field is binned into a Spectrum that carries S and the sizing
-    verdict."""
+    Bs that size are then covered one at a time (see cover), and each
+    cover's alpha field is binned into a Spectrum that carries S and the
+    sizing verdict."""
     S = dust.sample_size
     refused, sized = {}, {}
     for k, B in enumerate(B_list):
@@ -214,8 +214,9 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
             refused[k] = SweepEntry(B, None, exc)
         else:
             sized.setdefault(B, (status, notes))
-    done, measures = {}, covers(dust, sized)
-    for (B, (status, notes)), measure in zip(sized.items(), measures):
+    done = {}
+    for B, (status, notes) in sized.items():
+        measure = cover(dust, B)
         spec = histogram_spectrum(alpha_field(measure), measure.box_count, A)
         done[B] = SweepEntry(B, replace(spec, S=S, sizing=status,
                                         sizing_notes=notes))

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import mfkappa
 from mfkappa import errors
 from mfkappa.cli import build_parser, main
-from mfkappa.measure import (_MAX_COUNT, cover, covers, read_dust,
-                              read_rows, write_dust)
+from mfkappa.measure import (_MAX_COUNT, cover, read_dust, read_rows,
+                             write_dust)
 from mfkappa.oracles import gen_uniform
 from mfkappa.spectrum import (alpha_field, auto_size, estimate,
                               histogram_spectrum, read_spectrum_csv,
@@ -433,25 +433,24 @@ class TestSweep:
 
     def test_repeated_box_count_is_estimated_once(self, uniform_dust,
                                                   tmp_path, monkeypatch):
-        # the sweep covers every box count in one call: a repeated B is
-        # passed to it once, and its CSV is written once
+        # a repeated B is covered once, and its CSV is written once
         covered, written = [], []
 
-        def counted_covers(dust, B_list):
-            covered.append(list(B_list))
-            return covers(dust, B_list)
+        def counted_cover(dust, B):
+            covered.append(B)
+            return cover(dust, B)
 
         def counted_write(spec, path):
             written.append(path)
             write_spectrum_csv(spec, path)
 
-        monkeypatch.setattr("mfkappa.spectrum.covers", counted_covers)
+        monkeypatch.setattr("mfkappa.spectrum.cover", counted_cover)
         monkeypatch.setattr("mfkappa.spectrum.write_spectrum_csv",
                             counted_write)
         assert run("sweep", str(uniform_dust), "--boxes", "100,100",
                    "--bins", "9", "--out-prefix",
                    str(tmp_path / "sw")) == 0
-        assert covered == [[100]]
+        assert covered == [100]
         assert written == [str(tmp_path / "sw_B100.csv")]
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from mfkappa import measure
 from mfkappa.errors import BadBoxCount, FormatError, SpecError
-from mfkappa.measure import (CantorDust, atomic_write, cover, read_dust,
-                             write_dust)
+from mfkappa.measure import (CantorDust, NaturalMeasure, atomic_write, cover,
+                             read_dust, write_dust)
 from mfkappa.oracles import (SelfSimilarSpec, gen_farey, gen_selfsimilar,
                              gen_uniform)
 from mfkappa.spectrum import histogram_spectrum, validate_sizing
@@ -19,6 +19,11 @@ def test_empty_signal_rejected():
                        match="dust must contain at least one point") as exc:
         CantorDust(np.array([]))
     assert exc.value.exit_code == 1
+    for args in ([[[0.1, 0.2], [0.3, 0.4]]], [0.5],
+                 [np.array([[0.1, 0.2]]), np.array([[1, 2]])]):
+        with pytest.raises(FormatError,
+                           match="dust points must be a 1-D array"):
+            CantorDust(*args)
 
 
 C = measure._CHUNK_LINES  # CantorDust checks the order a chunk at a time
@@ -135,6 +140,21 @@ def test_a_count_that_is_not_an_integer_is_refused(caller, n):
 @pytest.mark.parametrize("caller", COUNT_CALLERS)
 def test_a_numpy_integer_count_is_accepted(caller):
     COUNT_CALLERS[caller][0](np.int32(10))
+
+
+@pytest.mark.parametrize("masses", [
+    [-1.0, 2.0], [np.nan, 1.0], [np.inf, 1.0], [[1, 2], [3, 4]], [0.0, 0.0],
+    [5], [True, False], ["1", "2"]],
+    ids=["negative", "nan", "inf", "2-D", "zero-sum", "one-box", "bool",
+         "str"])
+def test_natural_measure_refuses_what_is_not_a_measure(masses):
+    with pytest.raises(FormatError, match="box masses must be a 1-D array"):
+        NaturalMeasure(np.array(masses))
+
+
+def test_natural_measure_takes_exact_weights():
+    assert NaturalMeasure(np.array([0.0, 0.25, 0.75])).mu.tolist() == [
+        0.0, 0.25, 0.75]
 
 
 @pytest.mark.parametrize("seed", range(20))

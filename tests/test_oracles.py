@@ -9,7 +9,7 @@ import pytest
 
 from mfkappa import oracles
 from mfkappa.errors import FormatError, SpecError
-from mfkappa.measure import _MAX_COUNT, CantorDust, covers, write_dust
+from mfkappa.measure import _MAX_COUNT, CantorDust, cover, write_dust
 from mfkappa.oracles import (_BLOCK, _TABLE_LEVELS, SelfSimilarSpec,
                              _cascade_points, _cascade_range, _path_table,
                              gen_farey, gen_selfsimilar, gen_superposed,
@@ -275,14 +275,15 @@ def assert_dust_holds(dust, points, counted, tmp_path):
     be: its points view is the points bit for bit, its covers at
     HELD_BOXES count what keying every point counts, and write_dust writes
     the plain per-point repr join. counted says whether the dust holds its
-    runs as values and counts (so covers keys its runs and write_dust
+    runs as values and counts (so cover keys its runs and write_dust
     repeats their lines) or every point."""
     assert (dust.counts is not None) == counted
     assert dust.sample_size == points.size
     assert np.array_equal(_bits(dust.points), _bits(points))
-    for B, m in zip(HELD_BOXES, covers(dust, HELD_BOXES), strict=True):
+    for B in HELD_BOXES:
         keys = np.minimum((points * B).astype(np.int64), B - 1)
-        assert np.array_equal(m.counts, np.bincount(keys, minlength=B)), B
+        assert np.array_equal(cover(dust, B).counts,
+                              np.bincount(keys, minlength=B)), B
     path = tmp_path / "dust.txt"
     write_dust(dust, path)
     # compared first, so that a failure does not diff megabytes of text
@@ -410,14 +411,16 @@ def test_cascade_dust_and_its_covers_hold_no_point_array(monkeypatch):
     S, paths = 2**20, 2**13
     spec = SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), 13, S, 4242)
     boxes = [int(B) for B in np.geomspace(100, 2 * math.isqrt(S), 11)]
-    list(covers(gen_selfsimilar(SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), 13,
-                                                1000, 1)), boxes))
+    warm = gen_selfsimilar(SelfSimilarSpec((0.3, 0.7), (0.5, 0.5), 13, 1000,
+                                           1))
+    for B in boxes:
+        cover(warm, B)
     bound = 2 * 8 * paths + 21 * _BLOCK + 64 * 1024
     assert max(8 * paths + 5 * 8 * paths, 4 * 8 * paths) < bound < S
     tracemalloc.start()
     try:
         dust = gen_selfsimilar(spec)
-        measures = list(covers(dust, boxes))
+        measures = [cover(dust, B) for B in boxes]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

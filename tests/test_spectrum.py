@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mfkappa import measure
 from mfkappa.errors import (BadBoxCount, FormatError, MfkError,
                             SizingViolation, SpecError)
-from mfkappa.measure import CantorDust, cover, covers
+from mfkappa.measure import CantorDust, cover
 from mfkappa.oracles import (SelfSimilarSpec, gen_selfsimilar, gen_uniform,
                              oracle_spectrum)
 from mfkappa.spectrum import (SizingStatus, Spectrum, alpha_field, auto_size,
@@ -261,20 +261,19 @@ class TestSweep:
         # refusal of one B, so it is not recorded in an entry
         def broken(*args, **kwargs):
             raise TypeError("not a sizing failure")
-            yield
 
-        monkeypatch.setattr("mfkappa.spectrum.covers", broken)
+        monkeypatch.setattr("mfkappa.spectrum.cover", broken)
         with pytest.raises(TypeError):
             sweep_boxes(gen_uniform(10_000), [5000, 100], 9)
 
     @pytest.mark.parametrize("B_list, searches", [
-        (SWEEP_1E7_BOXES, 1),
-        ([2**20 + 1, 2**20, 2], 2),  # past one batch of edges
-    ], ids=["eleven-Bs", "two-batches"])
-    def test_dust_is_searched_once_per_batch_of_edges(self, monkeypatch,
-                                                     B_list, searches):
-        # counts searches instead of timing them: the sweep's box counts
-        # share one search of the dust per batch of edges, not one per B
+        (SWEEP_1E7_BOXES, 11),
+        ([2**20 + 1, 2**20, 2, 2**20], 3),  # past 2^20 edges, B repeated
+    ], ids=["eleven-Bs", "past-2-to-the-20"])
+    def test_dust_is_searched_once_per_distinct_box_count(self, monkeypatch,
+                                                          B_list, searches):
+        # counts searches instead of timing them: each distinct B is one
+        # search of the dust
         dust = gen_uniform(10_000, "random", seed=5)
         calls = []
         search = np.searchsorted
@@ -289,11 +288,32 @@ class TestSweep:
         for e in entries:
             assert_same_spectrum(e.spectrum, composed(dust, e.B, 3))
 
+    @pytest.mark.parametrize("make", [
+        lambda: cascade(2**14, 8),
+        lambda: gen_uniform(2**14, "random", seed=6),
+    ], ids=["runs-kept", "searched"])
+    def test_spectrum_cover_is_called_once_per_sized_box_count(
+            self, monkeypatch, make):
+        # spectrum.cover is the binding a tracer wraps to time the covers
+        # of a sweep: each distinct B that sizes is one call through it,
+        # and a refused B is none
+        dust, calls = make(), []
+
+        def counted(dust, B):
+            calls.append(B)
+            return cover(dust, B)
+
+        monkeypatch.setattr("mfkappa.spectrum.cover", counted)
+        B_list = [*SWEEP_1E7_BOXES, SWEEP_1E7_BOXES[0], 1]
+        entries = sweep_boxes(dust, B_list, 3, force=True)
+        assert calls == SWEEP_1E7_BOXES
+        assert [e.spectrum is None for e in entries] == [False] * 12 + [True]
+
     def test_peak_memory_follows_the_largest_box_count(self):
         """A sweep of four box counts near 2^20 takes at most 1.5 times
-        the peak memory of one cover at the largest: each B is its own
-        batch of edges. Covering them all at once would take about 4
-        times; measured, the sweep takes 1.2 times."""
+        the peak memory of one cover at the largest: each B is covered,
+        and its cover freed, on its own. Covering them all at once would
+        take about 4 times; measured, the sweep takes 1.3 times."""
         dust = CantorDust(np.random.default_rng(0).random(1000))
         B_list = [2**20 + 1, 2**20, 2**20 - 1, 2**20 - 2]
         peaks = []
@@ -452,16 +472,12 @@ def bincount_cover(dust, B):
 
 
 def assert_cover_matches_bincount(dust, B_list):
-    """cover at each B, and covers over the whole list at once, count what
-    bincount_cover counts."""
-    B_list = list(B_list)
-    measures = list(covers(dust, B_list))
-    assert len(measures) == len(B_list)
-    for B, m in zip(B_list, measures):
+    """cover at each B counts what bincount_cover counts."""
+    for B in B_list:
         expected = bincount_cover(dust, B)
-        for counts in (cover(dust, B).counts, m.counts):
-            assert counts.dtype == expected.dtype
-            assert np.array_equal(counts, expected), B
+        counts = cover(dust, B).counts
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected), B
 
 
 def swept(B):
@@ -514,8 +530,8 @@ def run_starts(points):
 
 def assert_runs_kept(dust, kept):
     """The dust holds its runs of bit-equal points, each value once with
-    its run's length as its count, so covers keys its runs, or holds no
-    counts, so covers searches it."""
+    its run's length as its count, so cover keys its runs, or holds no
+    counts, so cover searches it."""
     if kept:
         points = dust.points
         starts = run_starts(points)
@@ -570,16 +586,15 @@ def test_run_keyed_cover_matches_bincount_on_signed_zeros_and_one(B):
 
 @pytest.mark.parametrize("make, searches", [
     (lambda: cascade(2**14, 8), 0),
-    (lambda: gen_uniform(2**14, "random", seed=4), 2),
+    (lambda: gen_uniform(2**14, "random", seed=4), 3),
 ], ids=["runs-kept", "searched"])
 def test_kernels_match_bincount_past_one_batch_of_edges(monkeypatch, make,
                                                         searches):
-    """A sweep of more than _BATCH_EDGES edges: a dust that kept its runs
-    is never searched, and one that did not is searched once a batch."""
+    """Box counts past 2^20: a dust that kept its runs is never searched,
+    and one that did not is searched once a box count."""
     dust = make()
     assert_runs_kept(dust, searches == 0)
     B_list = [2**20 + 1, 2**20, 2]
-    assert sum(B - 1 for B in B_list) > measure._BATCH_EDGES
     calls = []
     search = np.searchsorted
 
@@ -588,7 +603,8 @@ def test_kernels_match_bincount_past_one_batch_of_edges(monkeypatch, make,
         return search(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counted)
-    list(covers(dust, B_list))
+    for B in B_list:
+        cover(dust, B)
     assert calls == [True] * searches
     monkeypatch.undo()
     assert_cover_matches_bincount(dust, B_list)
