@@ -11,13 +11,9 @@ S // _RUN_SHARE runs, as a cascade dust does, whose S points take at most
 2^depth values. A dust with more runs (uniform, Farey) holds every point as
 a value and no counts. The cascade generators give their runs directly,
 so such a dust never holds its S points; its points view builds them on
-each access. cover keys a dust with counts one run at a time: each value
-is keyed once and counted once per point of its run, so the counts are
-those of keying every point, at O(runs) cost per box count. A dust without
-counts is searched: a point's box key int(p*B) never decreases in p, so
-the points keyed below i are the points below the first double whose key
-reaches i (see cover). cover finds those first keys by one search of the
-sorted points, at O(B log S) cost rather than O(S).
+each access. cover keys each value once and counts it once per point of
+its run, so the counts are those of keying every point, at O(values) cost
+per box count.
 """
 
 from __future__ import annotations
@@ -37,18 +33,16 @@ from .errors import BadBoxCount, FormatError, SpecError
 _CHUNK_LINES = 1 << 16
 
 # A dust holds its runs of equal points while it has at most S // _RUN_SHARE
-# of them. Timed on a 2-vCPU host over sorted dusts of S // share values,
-# each repeated share times, covering them at 11 box counts by keying the
-# runs took 9.1 ms at share 64 and S = 1e7, against 13.7 ms by searching
-# the points, and 0.7 against 6.7 ms at S = 1e6; at share 128 keying took
-# a quarter or less at both sizes, and at share 32 up to 1.4 times as long.
-# 64 still keeps the runs of a 1e6-point depth-13 cascade (8,106 values).
+# of them, and every point past that. The cap sets only how a dust is held:
+# its memory, 16 bytes a run against 8 a point, and which writer write_dust
+# uses. cover keys the values either way, with the same counts. 64 keeps the
+# runs of a 1e6-point depth-13 cascade (8,106 values).
 _RUN_SHARE = 64
 
 
 # Each array a count sizes holds 8-byte items. numpy refuses one whose bytes
 # pass intp's maximum, and np.arange one within 512 bytes of it (ValueError,
-# not MemoryError). The - 1 leaves room for cover's B + 1 edges.
+# not MemoryError). The - 1 is one item of margin below that.
 _MAX_COUNT = (np.iinfo(np.intp).max - 512) // 8 - 1
 
 
@@ -116,17 +110,29 @@ def _point_runs(pts: np.ndarray):
     return pts[starts], np.diff(starts, append=pts.size)
 
 
+def _array(x) -> np.ndarray:
+    """x as an array, or, where numpy cannot make one (a ragged list), an
+    empty object array, which every check of a dtype's kind refuses."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        return np.array([], dtype=object)
+
+
 def _joined_runs(values: np.ndarray, counts):
     """(values, counts) of runs given as values, in any order, and their
     positive integer counts: sorted by value (a stable sort, so runs of
     0.0 and -0.0 keep their given order), with bit-equal neighbours joined
     into one run, and expanded to the points, with counts None, past
     S // _RUN_SHARE runs, as _point_runs would hold them."""
-    counts = np.asarray(counts)
+    counts = _array(counts)
+    # with no count past 2^53, the partial sums are exact up to the first
+    # that passes 2^53, the largest total cover counts exactly
     if counts.dtype.kind not in "iu" or counts.shape != values.shape \
-            or not (counts >= 1).all():
+            or not (counts >= 1).all() or counts.max() > 2**53 \
+            or (np.cumsum(counts) > 2**53).any():
         raise FormatError("dust counts must be positive integers, one "
-                          "per value")
+                          "per value, with a total of at most 2**53")
     order = np.argsort(values, kind="stable")
     values, counts = values[order], counts[order].astype(np.int64)
     bits = values.view(np.int64)
@@ -161,9 +167,11 @@ class CantorDust:
     counts: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise FormatError("dust points must be a 1-D array")
+        values = _array(self.values)
+        if values.dtype.kind not in "iuf" or values.ndim != 1:
+            raise FormatError("dust points must be a 1-D array of real "
+                              "numbers")
+        values = values.astype(float, copy=False)
         if values.size == 0:
             raise FormatError("dust must contain at least one point")
         if self.counts is None:
@@ -196,6 +204,7 @@ class NaturalMeasure:
 
     counts: np.ndarray  # mass per box; B = counts.size
 
+    @np.errstate(over="ignore")  # a float sum past the largest is inf: refused
     def __post_init__(self):
         counts = np.asarray(self.counts)
         if not (counts.ndim == 1 and counts.size >= 2
@@ -217,49 +226,18 @@ class NaturalMeasure:
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:
     """Cover [0,1] with B equal boxes and count dust points per box.
 
-    A point p lies in box min(int(p*B), B-1). A dust that holds counts
-    (see CantorDust) is counted by that key: each value is keyed once and
-    its run's count added to its box, which is keying every point. The
-    weighted counts are whole numbers of at most S, exact as floats while
-    S <= 2^53, which no sample that can be drawn reaches. A dust without
-    counts is searched. Multiplying by B is monotone under IEEE rounding,
-    so the key never decreases along the sorted points, and the points
-    keyed below i, for 0 < i < B, are exactly those below t_i, the least
-    double whose key is >= i. One search of the t_i counts every box in
-    O(B log S) work instead of keying all S points. Each t_i is found from
-    the key itself (see _first_keys), not from the edge i/B, so a point on
-    an edge or an ulp off one lands in the box its key gives it, and the
-    clamp puts p == 1.0 in the closed last box. Multiplying by 2 commutes
-    with IEEE rounding, so cover(dust, 2B) still refines cover(dust, B)
-    exactly.
+    A point p lies in box min(int(p*B), B-1), so the clamp puts p == 1.0 in
+    the closed last box. Each value is keyed once and its run's count (1
+    for a dust without counts, see CantorDust) added to its box, which is
+    keying every point. The weighted counts are whole numbers of at most
+    S, exact as floats while S <= 2^53, which CantorDust ensures.
+    Multiplying by 2 commutes with IEEE rounding, so cover(dust, 2B) still
+    refines cover(dust, B) exactly.
     """
     _check_count(B, 2, "box count", BadBoxCount)
-    if dust.counts is not None:
-        keys = (dust.values * B).astype(np.int64)
-        np.minimum(keys, int(B) - 1, out=keys)
-        counts = np.bincount(keys, weights=dust.counts, minlength=int(B))
-        return NaturalMeasure(counts.astype(np.int64))
-    below = np.searchsorted(dust.values, _first_keys(np.arange(1.0, B), B))
-    return NaturalMeasure(np.diff(below, prepend=0, append=dust.values.size))
-
-
-def _first_keys(i: np.ndarray, B) -> np.ndarray:
-    """For each whole number i >= 1 in the float array i, the least double
-    t whose key int(t*B), with t*B the float product, is >= i, at the box
-    count B. As i is whole, the key reaches i when t*B does.
-
-    i/B lies an ulp or so from it. Stepping up an ulp while t*B falls
-    short of i, then down while t*B an ulp lower still reaches i, lands on
-    it exactly from any start, as t*B never decreases in t. Positive
-    doubles order as their bits, so a step of one ulp is a step of 1 in the
-    bits.
-    """
-    bits = (i / B).view(np.int64)
-    while (low := bits.view(float) * B < i).any():
-        bits += low
-    while (high := (bits - 1).view(float) * B >= i).any():
-        bits -= high
-    return bits.view(float)
+    keys = np.minimum((dust.values * B).astype(np.int64), int(B) - 1)
+    counts = np.bincount(keys, weights=dust.counts, minlength=int(B))
+    return NaturalMeasure(counts.astype(np.int64, copy=False))
 
 
 # --- file formats ---------------------------------------------------------

@@ -121,15 +121,19 @@ def _cascade_range(spec: SelfSimilarSpec, n: int, bits: np.random.PCG64,
         level.advance(j * n + a)
         draws.append(np.random.Generator(level).random)
     u = np.empty(_BLOCK)
-    code = np.empty(_BLOCK, dtype=np.uint32)
+    code = np.empty(_BLOCK, dtype=np.uint16)  # k <= 16 bits
     counts = np.zeros(1 << k, dtype=np.int64) if out is None else None
     for at in range(a, b, _BLOCK):
         m = min(_BLOCK, b - at)
         c, v = code[:m], u[:m]
         c.fill(0)
-        for draw in draws[:k]:
-            c <<= 1
+        for draw in draws[:k - 1]:
             c |= draw(out=v) >= p1
+            c <<= 1
+        # the last level writes the codes over its own draws as intp, which
+        # bincount and lo[c] take without a copy; narrow codes would be
+        # copied, and intp ones are slower to shift at every level
+        c = np.bitwise_or(c, draws[k - 1](out=v) >= p1, out=v.view(np.intp))
         if out is None:
             counts += np.bincount(c, minlength=1 << k)
             continue

@@ -1,6 +1,7 @@
 import os
 import stat
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,60 @@ def test_natural_measure_refuses_what_is_not_a_measure(masses):
 def test_natural_measure_takes_exact_weights():
     assert NaturalMeasure(np.array([0.0, 0.25, 0.75])).mu.tolist() == [
         0.0, 0.25, 0.75]
+
+
+def test_natural_measure_refuses_a_float_sum_past_the_largest_unwarned():
+    # a warning is an error under the test suite's filter, and would
+    # escape in place of the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="box masses must be a 1-D "
+                           "array"):
+            NaturalMeasure(np.array([1e308, 1e308]))
+
+
+RAGGED = [[0.25], [0.5, 0.75]]
+POINTS = "dust points must be a 1-D array of real numbers"
+COUNTS = "dust counts must be positive integers"
+
+
+@pytest.mark.parametrize("values, counts, match", [
+    (RAGGED, None, POINTS),
+    ("abc", None, POINTS),
+    (["0.25", "0.5"], None, POINTS),
+    ([0.5 + 1j, 0.25], None, POINTS),
+    (np.array([0.5 + 0j, 0.25]), None, POINTS),
+    ([0.25, 0.5], RAGGED, COUNTS),
+    ([0.25, 0.5], ["1", "2"], COUNTS),
+    ([0.25, 0.5], [1 + 1j, 2], COUNTS),
+], ids=["ragged-points", "string", "string-points", "complex-points",
+        "complex-array", "ragged-counts", "string-counts", "complex-counts"])
+def test_dust_input_that_is_not_real_numbers_is_refused(values, counts,
+                                                        match):
+    with pytest.raises(FormatError, match=match) as exc:
+        CantorDust(values, counts)
+    assert exc.value.exit_code == 1
+
+
+@pytest.mark.parametrize("counts, total", [
+    ([2**62, 2**62], None),  # the int64 sum wraps negative
+    ([2**63 - 1, 2], None),  # one count past 2^53
+    (np.array([2**64 - 1, 1], dtype=np.uint64), None),
+    ([2**52, 2**52 - 1], 2**53 - 1),
+    ([2**52, 2**52], 2**53),
+    ([2**52, 2**52 + 1], None),
+], ids=["wraps", "one-count-past", "uint64", "bound-1", "bound", "bound+1"])
+def test_dust_counts_total_at_most_2_to_the_53(counts, total):
+    # cover adds the counts as floats, exact up to 2^53
+    if total is None:
+        with pytest.raises(FormatError, match=r"with a total of at most "
+                           r"2\*\*53$") as exc:
+            CantorDust(np.array([0.25, 0.5]), counts)
+        assert exc.value.exit_code == 1
+        return
+    dust = CantorDust(np.array([0.25, 0.5]), counts)
+    assert dust.sample_size == total
+    assert cover(dust, 4).counts.tolist() == [0, counts[0], counts[1], 0]
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -399,9 +399,10 @@ def test_cascade_dust_and_its_covers_hold_no_point_array(monkeypatch):
     imports:
     - the thread's count table and bincount's table per block (2 * 8 bytes
       a path, 2^13 paths);
-    - the block buffers, _BLOCK points each: a draw (8 bytes a point), a
-      path code (4), its intp copy in bincount (8) and a comparison mask
-      (1), 21 bytes a point;
+    - the block buffers, _BLOCK points each: a draw (8 bytes a point),
+      over which the last level writes the intp path codes that bincount
+      takes without a copy, a uint16 path code (2) and a comparison mask
+      (1), 11 bytes a point;
     - 64 KB for the generators, the thread and the box counts' arrays.
     What comes after the draw is smaller: the count table, the path table
     (at most 5 * 8 bytes a path), then the values and counts and their
@@ -415,7 +416,7 @@ def test_cascade_dust_and_its_covers_hold_no_point_array(monkeypatch):
                                            1))
     for B in boxes:
         cover(warm, B)
-    bound = 2 * 8 * paths + 21 * _BLOCK + 64 * 1024
+    bound = 2 * 8 * paths + 11 * _BLOCK + 64 * 1024
     assert max(8 * paths + 5 * 8 * paths, 4 * 8 * paths) < bound < S
     tracemalloc.start()
     try:

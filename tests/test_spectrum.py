@@ -266,28 +266,6 @@ class TestSweep:
         with pytest.raises(TypeError):
             sweep_boxes(gen_uniform(10_000), [5000, 100], 9)
 
-    @pytest.mark.parametrize("B_list, searches", [
-        (SWEEP_1E7_BOXES, 11),
-        ([2**20 + 1, 2**20, 2, 2**20], 3),  # past 2^20 edges, B repeated
-    ], ids=["eleven-Bs", "past-2-to-the-20"])
-    def test_dust_is_searched_once_per_distinct_box_count(self, monkeypatch,
-                                                          B_list, searches):
-        # counts searches instead of timing them: each distinct B is one
-        # search of the dust
-        dust = gen_uniform(10_000, "random", seed=5)
-        calls = []
-        search = np.searchsorted
-
-        def counted(a, *args, **kwargs):
-            calls.append(a is dust.points)
-            return search(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "searchsorted", counted)
-        entries = sweep_boxes(dust, B_list, 3, force=True)
-        assert calls == [True] * searches
-        for e in entries:
-            assert_same_spectrum(e.spectrum, composed(dust, e.B, 3))
-
     @pytest.mark.parametrize("make", [
         lambda: cascade(2**14, 8),
         lambda: gen_uniform(2**14, "random", seed=6),
@@ -311,13 +289,16 @@ class TestSweep:
 
     def test_peak_memory_follows_the_largest_box_count(self):
         """A sweep of four box counts near 2^20 takes at most 1.5 times
-        the peak memory of one cover at the largest: each B is covered,
-        and its cover freed, on its own. Covering them all at once would
-        take about 4 times; measured, the sweep takes 1.3 times."""
+        the peak memory of one estimate at the largest: each B is covered,
+        binned and freed on its own. Covering them all at once would take
+        about 4 times; measured, the sweep takes 1.0 times. At most one
+        cover's box counts, its mu and its occupied mask (17 bytes a box),
+        or a cover's counts and the next B's (16 bytes a box), are held at
+        once, beside the dust's 1000 values and their keys and alphas."""
         dust = CantorDust(np.random.default_rng(0).random(1000))
         B_list = [2**20 + 1, 2**20, 2**20 - 1, 2**20 - 2]
         peaks = []
-        for run in (lambda: cover(dust, max(B_list)),
+        for run in (lambda: estimate(dust, max(B_list), 3, force=True),
                     lambda: sweep_boxes(dust, B_list, 3, force=True)):
             tracemalloc.start()
             try:
@@ -326,6 +307,7 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+        assert peaks[1] <= 17 * max(B_list) + 64 * 1024
 
 
 @pytest.mark.parametrize("make", [
@@ -530,8 +512,8 @@ def run_starts(points):
 
 def assert_runs_kept(dust, kept):
     """The dust holds its runs of bit-equal points, each value once with
-    its run's length as its count, so cover keys its runs, or holds no
-    counts, so cover searches it."""
+    its run's length as its count, so cover keys each run once, or holds no
+    counts, so cover keys every point."""
     if kept:
         points = dust.points
         starts = run_starts(points)
@@ -584,48 +566,16 @@ def test_run_keyed_cover_matches_bincount_on_signed_zeros_and_one(B):
     assert_cover_matches_bincount(dust, swept(B))
 
 
-@pytest.mark.parametrize("make, searches", [
-    (lambda: cascade(2**14, 8), 0),
-    (lambda: gen_uniform(2**14, "random", seed=4), 3),
+@pytest.mark.parametrize("make, kept", [
+    (lambda: cascade(2**14, 8), True),
+    (lambda: gen_uniform(2**14, "random", seed=4), False),
 ], ids=["runs-kept", "searched"])
-def test_kernels_match_bincount_past_one_batch_of_edges(monkeypatch, make,
-                                                        searches):
-    """Box counts past 2^20: a dust that kept its runs is never searched,
-    and one that did not is searched once a box count."""
+def test_kernels_match_bincount_past_one_batch_of_edges(make, kept):
+    """Box counts past 2^20, on a dust that kept its runs and one that
+    did not."""
     dust = make()
-    assert_runs_kept(dust, searches == 0)
-    B_list = [2**20 + 1, 2**20, 2]
-    calls = []
-    search = np.searchsorted
-
-    def counted(a, *args, **kwargs):
-        calls.append(a is dust.points)
-        return search(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", counted)
-    for B in B_list:
-        cover(dust, B)
-    assert calls == [True] * searches
-    monkeypatch.undo()
-    assert_cover_matches_bincount(dust, B_list)
-
-
-def test_first_keys_are_the_least_doubles_that_key_each_edge():
-    """t_i is the least double whose key int(t*B) reaches i: every i of
-    every B up to 3000, and for 200 random B up to 2^26 the first and last
-    64 edges with 2000 edges drawn between them."""
-    def check(i, B):
-        t = measure._first_keys(i.astype(float), B)
-        assert np.all(t * B >= i), B
-        assert np.all(np.nextafter(t, -np.inf) * B < i), B
-
-    for B in range(2, 3001):
-        check(np.arange(1, B), B)
-    rng = np.random.default_rng(26)
-    for B in rng.integers(3001, 2**26, size=200).tolist():
-        ends = np.arange(1, 65)
-        check(np.concatenate([ends, B - ends,
-                              rng.integers(65, B - 64, size=2000)]), B)
+    assert_runs_kept(dust, kept)
+    assert_cover_matches_bincount(dust, [2**20 + 1, 2**20, 2])
 
 
 @given(edge_dusts(), st.integers(1, 12))
