@@ -24,8 +24,7 @@ class SpecError(MfkError):
 
 
 class BadBoxCount(SpecError):
-    """Box count below 2, or one whose B + 1 box edges would pass the
-    largest array length."""
+    """Box count below 2, or past the largest array length."""
 
 
 class SizingViolation(MfkError):

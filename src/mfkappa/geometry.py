@@ -106,8 +106,6 @@ class RegimeReport:
 def features(spectrum: Spectrum) -> SpectrumFeatures:
     """Extract the curve summary; at equal f_max the smaller alpha wins."""
     alphas, fs = spectrum.alphas, spectrum.fs
-    if fs.size == 0:
-        raise MfkError("features need >= 1 point, got 0")
     k = int(np.argmax(fs))  # argmax takes the first max: the smaller alpha
     return SpectrumFeatures(
         alpha_min=float(alphas[0]),

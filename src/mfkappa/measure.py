@@ -207,9 +207,10 @@ class NaturalMeasure:
     @np.errstate(over="ignore")  # a float sum past the largest is inf: refused
     def __post_init__(self):
         counts = np.asarray(self.counts)
+        # summed as floats (mu too): an int64 sum of large counts can wrap
         if not (counts.ndim == 1 and counts.size >= 2
                 and counts.dtype.kind in "iuf" and counts.min() >= 0
-                and 0 < counts.sum() < np.inf):
+                and 0 < counts.sum(dtype=float) < np.inf):
             raise FormatError("box masses must be a 1-D array of at least 2 "
                               "finite nonnegative numbers with a positive sum")
         object.__setattr__(self, "counts", counts)
@@ -220,7 +221,7 @@ class NaturalMeasure:
 
     @property
     def mu(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
+        return self.counts / self.counts.sum(dtype=float)
 
 
 def cover(dust: CantorDust, B: int) -> NaturalMeasure:

@@ -34,9 +34,9 @@ class SizingStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Finite (alpha, f) point list, alphas strictly increasing, each value
-    0 or of magnitude 2**-450 to 2**450, with the sizes it was estimated
-    at: sample size S, box count B, bin count A and bin width
+    """(alpha, f) list of at least one point, alphas strictly increasing,
+    each value 0 or of magnitude 2**-450 to 2**450, with the sizes it was
+    estimated at: sample size S, box count B, bin count A and bin width
     epsilon_alpha, and the sizing status, a SizingStatus or its value, with
     its notes. An S, B or A of 0 means the spectrum CSV it was
     read from did not give it."""
@@ -62,30 +62,26 @@ class Spectrum:
         object.__setattr__(self, "epsilon_alpha", eps_a)
         a, f = self.alphas, self.fs
         if not (isinstance(a, np.ndarray) and isinstance(f, np.ndarray)
-                and a.ndim == 1 and f.shape == a.shape):
+                and a.ndim == 1 and a.size and f.shape == a.shape):
             raise FormatError(
-                "alphas and fs must be 1-D arrays of one length, got "
+                "alphas and fs must be 1-D arrays of one length >= 1, got "
                 f"{type(a).__name__} {np.shape(a)} and "
                 f"{type(f).__name__} {np.shape(f)}")
-        # finite, and within half the float range of one another and of 0
-        # and 1, which a plot takes too (svgplot._limits): no difference of
-        # two values, the alpha span among them, nor a plot's margins can
-        # overflow to inf. Python floats overflow without a warning.
-        lo = np.minimum(a.min(initial=0.0), f.min(initial=0.0))  # NaN stays
-        hi = np.maximum(a.max(initial=1.0), f.max(initial=1.0))
-        if not (float(hi) - float(lo) <= np.finfo(float).max / 2
-                and np.all(a[1:] > a[:-1])):
-            raise FormatError("spectrum points must be finite, within half "
-                              "the float range, with strictly increasing "
-                              "alphas")
-        # classify's line fits sum squares of differences of alphas: those
-        # of two distinct values of this range, at least 2**-502 apart,
-        # are normal floats, and up to 2**100 of them sum to a finite one
+        # each value 0 or of magnitude 2**-450 to 2**450, so finite and
+        # within half the float range of one another and of 0 and 1, which
+        # a plot takes too (svgplot._limits): no difference of two values,
+        # the alpha span, nor a plot's margins can overflow. classify's
+        # line fits sum squares of differences of alphas: those of two
+        # distinct values of this range, at least 2**-502 apart, are normal
+        # floats, and up to 2**100 of them sum to a finite one
         size = np.abs(np.concatenate([a, f]))
         if not np.all((size == 0) | ((size >= _POINT_MIN)
                                      & (size <= 1 / _POINT_MIN))):
             raise FormatError("spectrum points must be 0 or of magnitude "
                               "from 2**-450 to 2**450")
+        if not np.all(a[1:] > a[:-1]):  # a NaN was refused as a value
+            raise FormatError("spectrum points must have strictly "
+                              "increasing alphas")
         try:
             object.__setattr__(self, "sizing", SizingStatus(self.sizing))
         except ValueError:
@@ -247,9 +243,7 @@ def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum CSV; rows may come in any order."""
     pairs, rows = read_rows(path, parse=_alpha_f_row, header="alpha,f")
     meta = dict(pairs)
-    if not rows:
-        raise FormatError(f"{path}: not a spectrum CSV")
-    alphas, fs = np.array(rows).T
+    alphas, fs = np.array(rows).reshape(-1, 2).T
     order = np.argsort(alphas)
     try:
         return Spectrum(

@@ -359,6 +359,17 @@ class TestClassify:
         path = self.write_csv(tmp_path, alphas, fs)
         assert run("classify", str(path)) == 1
 
+    def test_header_only_csv_exits_1(self, tmp_path, capsys):
+        # refused where the Spectrum is built, with the file's name
+        path = self.write_csv(tmp_path, [], [])
+        out = tmp_path / "report.json"
+        assert run("classify", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: alphas and fs must be 1-D "
+                                 "arrays of one length >= 1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", [
         "# sizing=Bogus", "# S=abc", "# epsilon_alpha=inf",
         "# epsilon_alpha=nan", "# epsilon_alpha=-0.1", "# B=-7"])

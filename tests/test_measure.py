@@ -158,6 +158,12 @@ def test_natural_measure_takes_exact_weights():
         0.0, 0.25, 0.75]
 
 
+def test_natural_measure_sums_large_counts_without_wrapping():
+    # an int64 sum of four 2**62 wrapped to 0, and of five to 2**62
+    assert NaturalMeasure(np.array([2**62] * 5)).mu.tolist() == [0.2] * 5
+    assert NaturalMeasure(np.array([2**62] * 4)).mu.tolist() == [0.25] * 4
+
+
 def test_natural_measure_refuses_a_float_sum_past_the_largest_unwarned():
     # a warning is an error under the test suite's filter, and would
     # escape in place of the refusal

@@ -348,6 +348,8 @@ def test_csv_roundtrip_keeps_sizing_notes(tmp_path):
 
 
 ONE = np.array([1.0])
+MAGNITUDE = (r"spectrum points must be 0 or of magnitude from 2\*\*-450 "
+             r"to 2\*\*450")
 
 
 def test_spectrum_takes_sizing_by_its_value():
@@ -374,17 +376,23 @@ def test_spectrum_takes_sizing_by_its_value():
     ({"epsilon_alpha": "0.1"},
      "epsilon_alpha must be a real number, got '0.1'"),
     ({"epsilon_alpha": None}, "epsilon_alpha must be a real number, got None"),
+    # the span overflows, a plot's 5% margins on each side would, and f
+    # lies far below 0: each is refused by the magnitude rule
     ({"alphas": np.array([-1e308, 1e308]), "fs": np.array([0.1, 0.2])},
-     "within half the float range"),
-    # finite apart, but a plot's 5% margins on each side would overflow
+     MAGNITUDE),
     ({"alphas": np.array([-0.85e308, 0.85e308]), "fs": np.array([0.1, 0.2])},
-     "within half the float range"),
-    ({"alphas": np.array([0.5]), "fs": np.array([-1e308])},
-     "within half the float range"),
+     MAGNITUDE),
+    ({"alphas": np.array([0.5]), "fs": np.array([-1e308])}, MAGNITUDE),
+    # a NaN is not an increasing alpha either, but is named a bad value
+    ({"alphas": np.array([0.5, np.nan]), "fs": np.array([0.1, 0.2])},
+     MAGNITUDE),
+    ({"alphas": np.array([0.5, 0.5]), "fs": np.array([0.1, 0.2])},
+     "strictly increasing alphas"),
 ], ids=["sizing", "notes-as-a-string", "lengths", "2-D", "0-D", "lists",
         "S-bool", "B-bool", "A-bool", "epsilon_alpha-bool",
         "epsilon_alpha-str", "epsilon_alpha-None", "alpha-span-overflows",
-        "plot-margins-overflow", "f-far-below-0"])
+        "plot-margins-overflow", "f-far-below-0", "nan-alpha",
+        "equal-alphas"])
 def test_spectrum_refuses_fields_it_cannot_hold(fields, message):
     with pytest.raises(FormatError, match=message):
         Spectrum(**{"alphas": ONE, "fs": ONE, **fields})
@@ -416,8 +424,7 @@ def test_point_range_keeps_the_line_fits_squares_normal_and_finite():
               np.nextafter(hi, np.inf), 1e-320, 5.635350551177872e-171,
               1e160):
         for a, f in ((np.array([x]), ONE), (ONE, np.array([x]))):
-            with pytest.raises(FormatError,
-                               match=r"magnitude from 2\*\*-450 to 2\*\*450"):
+            with pytest.raises(FormatError, match=MAGNITUDE):
                 Spectrum(a, f)
 
 
