@@ -146,13 +146,13 @@ def cmd_sweep(args) -> None:
     from .geometry import compare_sweep, features
     from .measure import atomic_write, read_dust
     from .spectrum import auto_size, sweep_boxes, write_spectrum_csv
-    dust = read_dust(args.input)
-    try:
+    try:  # before the dust, whose parse may take seconds
         B_list = [int(b) for b in args.boxes.split(",") if b]
     except ValueError:
         raise SpecError(f"--boxes must list integers, got {args.boxes!r}")
     if not B_list:
         raise SpecError("--boxes must name at least one box count")
+    dust = read_dust(args.input)
     A = args.bins if args.bins is not None else auto_size(
         dust.sample_size)[1]
     entries = sweep_boxes(dust, B_list, A, force=args.force)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,31 +198,19 @@ def _cascade_points(spec: SelfSimilarSpec, n: int,
             mmap.mmap(-1, 8 * n).close()
         except OSError:
             raise MemoryError(f"{n} points do not fit in memory") from None
+    from concurrent.futures import ThreadPoolExecutor  # only draws load it
     workers = max(1, min(_cpus(), n // (2 * _BLOCK)))
     cuts = [n * i // workers for i in range(workers + 1)]
-    parts = [None] * workers
-
-    def run(i):  # on a thread: its exception is re-raised by the caller
-        try:
-            parts[i] = _cascade_range(spec, n, rng.bit_generator, lo, length,
-                                      cuts[i], cuts[i + 1], below)
-        except BaseException as exc:
-            parts[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,))
-               for i in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:  # every part is in before one is read
-        thread.join()
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
+    # the with waits for every range, even after a failure, which map would
+    # cancel if not yet started; result re-raises the first, in range order
+    with ThreadPoolExecutor(workers) as pool:
+        parts = [pool.submit(_cascade_range, spec, n, rng.bit_generator, lo,
+                             length, a, b, below)
+                 for a, b in zip(cuts, cuts[1:])]
+        parts = [part.result() for part in parts]
     if below is not None:
         return below, None
-    counts = parts[0]
-    for part in parts[1:]:
-        counts += part
+    counts = sum(parts[1:], parts[0])
     del parts
     lo, length = _path_table(spec)
     used = np.flatnonzero(counts)

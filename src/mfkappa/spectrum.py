@@ -112,7 +112,7 @@ def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
     """
     _check_count(A, 1, "bin count")
     if alphas.size == 0:
-        raise ValueError("alpha field is empty")
+        raise MfkError("alpha field is empty")
     a_lo = float(alphas.min())
     a_hi = float(alphas.max())
     log_b = math.log(B)
@@ -242,6 +242,8 @@ def _alpha_f_row(line):
 def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum CSV; rows may come in any order."""
     pairs, rows = read_rows(path, parse=_alpha_f_row, header="alpha,f")
+    if not rows:
+        raise FormatError(f"{path}: no alpha,f rows")
     meta = dict(pairs)
     alphas, fs = np.array(rows).reshape(-1, 2).T
     order = np.argsort(alphas)

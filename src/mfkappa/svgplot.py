@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MfkError
 from .geometry import detect_fragments
 from .spectrum import Spectrum
 
@@ -29,7 +30,7 @@ def render_spectra_svg(spectra, gap_threshold: float | None = None) -> str:
     """Render one or more spectra, each labelled by its box count B;
     fragments are not joined across gaps."""
     if not spectra:
-        raise ValueError("need at least one spectrum")
+        raise MfkError("need at least one spectrum")
     lo, hi = _limits(spectra)
     span = hi - lo
     inner = _WIDTH - 2 * _MARGIN

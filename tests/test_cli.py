@@ -21,6 +21,7 @@ from mfkappa.oracles import gen_uniform
 from mfkappa.spectrum import (alpha_field, auto_size, estimate,
                               histogram_spectrum, read_spectrum_csv,
                               validate_sizing, write_spectrum_csv)
+from mfkappa.svgplot import render_spectra_svg
 
 
 def run(*argv):
@@ -366,8 +367,7 @@ class TestClassify:
         assert run("classify", str(path), "--out", str(out)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: {path}: alphas and fs must be 1-D "
-                                 "arrays of one length >= 1")
+        assert err[0] == f"error: {path}: no alpha,f rows"
         assert not out.exists()
 
     @pytest.mark.parametrize("meta", [
@@ -463,6 +463,17 @@ class TestSweep:
                    str(tmp_path / "sw")) == 0
         assert covered == [100]
         assert written == [str(tmp_path / "sw_B100.csv")]
+
+    @pytest.mark.parametrize("boxes, message", [
+        ("10,x", "--boxes must list integers"),
+        (",", "--boxes must name at least one box count")])
+    def test_bad_boxes_exit_2_before_the_dust_is_read(self, tmp_path, capsys,
+                                                      boxes, message):
+        # the input does not exist, so reading it first would exit 1
+        assert run("sweep", str(tmp_path / "missing.txt"), "--boxes", boxes,
+                   "--out-prefix", str(tmp_path / "sw")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 def assert_reads_back_as_composed(path, dust, B, A):
@@ -881,6 +892,12 @@ class TestPlot:
         svg = out.read_text()
         series = svg[svg.index('<g class="series"'):svg.index("</g>")]
         assert series.count("<polyline") == 2
+
+    def test_no_spectrum_refused(self):
+        with pytest.raises(errors.MfkError,
+                           match="need at least one spectrum") as exc:
+            render_spectra_svg([])
+        assert exc.value.exit_code == 1
 
 
 # alphas whose squares underflow

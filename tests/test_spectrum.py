@@ -69,6 +69,11 @@ class TestHistogram:
             histogram_spectrum(*field_from([0.7, 0.9], 100), A)
         assert exc.value.exit_code == 2
 
+    def test_empty_field_refused(self):
+        with pytest.raises(MfkError, match="alpha field is empty") as exc:
+            histogram_spectrum(*field_from([], 100), 9)
+        assert exc.value.exit_code == 1
+
     def test_bin_recovery(self):
         rng = np.random.default_rng(3)
         fld = field_from(rng.uniform(0.5, 1.5, size=60), 100)

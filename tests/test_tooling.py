@@ -40,8 +40,8 @@ def test_a_failing_given_test_is_reported_and_the_session_goes_on(tmp_path):
 
 
 def test_cli_import_leaves_out_concurrent_futures():
-    # the cascade sampler's threads use threading alone: concurrent.futures
-    # would add its import to every mfk process
+    # mfk imports no library module at start-up, so only a process that
+    # draws a cascade loads concurrent.futures
     proc = subprocess.run(
         [sys.executable, "-c", "import mfkappa.cli, sys; "
          "print('concurrent.futures' in sys.modules)"],
@@ -107,15 +107,18 @@ def inputs(tmp_path):
     (["generate", "superposed", "--spec-a", "{spec}", "--spec-b", "{spec}",
       "--out", "{out}"], ("mfkappa.spectrum", "mfkappa.geometry")),
     (["generate", "farey", "--Q", "5", "--out", "{out}"],
-     ("mfkappa.spectrum", "mfkappa.geometry")),
+     ("mfkappa.spectrum", "mfkappa.geometry", "concurrent.futures")),
     (["generate", "uniform", "--S", "10", "--out", "{out}"],
-     ("mfkappa.spectrum", "mfkappa.geometry")),
+     ("mfkappa.spectrum", "mfkappa.geometry", "concurrent.futures")),
     (["analyze", "{dust}", "--auto-size", "--out", "{out}"],
-     ("mfkappa.geometry", "mfkappa.oracles")),
-    (["classify", "{csv}", "--out", "{out}"], ("mfkappa.oracles",)),
+     ("mfkappa.geometry", "mfkappa.oracles", "concurrent.futures")),
+    (["classify", "{csv}", "--out", "{out}"],
+     ("mfkappa.oracles", "concurrent.futures")),
     (["sweep", "{dust}", "--boxes", "10,20", "--bins", "3", "--out-prefix",
-      "{out}"], ("mfkappa.oracles", "mfkappa.svgplot")),
-    (["plot", "{csv}", "--out", "{out}"], ("mfkappa.oracles",)),
+      "{out}"],
+     ("mfkappa.oracles", "mfkappa.svgplot", "concurrent.futures")),
+    (["plot", "{csv}", "--out", "{out}"],
+     ("mfkappa.oracles", "concurrent.futures")),
 ], ids=["selfsimilar", "superposed", "farey", "uniform", "analyze",
         "classify", "sweep", "plot"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, inputs, argv,
