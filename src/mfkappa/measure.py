@@ -72,14 +72,13 @@ def _check_count(n: int, least: int, what: str, error=SpecError) -> None:
                     f"{_MAX_COUNT}")
 
 
-def _order_and_runs(pts: np.ndarray):
+def _order_and_runs(pts: np.ndarray, cap: int):
     """Whether pts is sorted, and the start index of each run of equal
-    points, or None if pts is not sorted or has more than
-    pts.size // _RUN_SHARE runs. One pass, a chunk at a time, with no
-    S-byte temporary; runs are counted before their starts are made, so at
-    most the kept starts are held. Runs compare bits, as in _dust_text, so
-    -0.0 and 0.0 stay apart, though they share every key."""
-    cap = pts.size // _RUN_SHARE
+    points, or None if pts is not sorted or has more than cap runs. One
+    pass, a chunk at a time, with no S-byte temporary; runs are counted
+    before their starts are made, so at most the kept starts are held.
+    This is the one run rule of a dust: runs compare bits, so -0.0 and 0.0
+    stay apart, though they share every key, and their reprs differ."""
     bits = pts.view(np.int64)
     starts, runs = [np.zeros(1, np.intp)], 1
     for i in range(0, pts.size, _CHUNK_LINES):
@@ -101,10 +100,10 @@ def _point_runs(pts: np.ndarray):
     value and length. Only points out of order are sorted, so points in
     order keep their bits, -0.0 and 0.0 included. NaN fails the order check
     and sorts last."""
-    in_order, starts = _order_and_runs(pts)
+    in_order, starts = _order_and_runs(pts, pts.size // _RUN_SHARE)
     if not in_order:
         pts = np.sort(pts)
-        starts = _order_and_runs(pts)[1]
+        starts = _order_and_runs(pts, pts.size // _RUN_SHARE)[1]
     if starts is None:
         return (np.array(pts) if in_order else pts), None
     return pts[starts], np.diff(starts, append=pts.size)
@@ -135,12 +134,10 @@ def _joined_runs(values: np.ndarray, counts):
                           "per value, with a total of at most 2**53")
     order = np.argsort(values, kind="stable")
     values, counts = values[order], counts[order].astype(np.int64)
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    values, counts = values[starts], np.add.reduceat(counts, starts)
-    if values.size > counts.sum() // _RUN_SHARE:
-        return np.repeat(values, counts), None
-    return values, counts
+    in_order, starts = _order_and_runs(values, counts.sum() // _RUN_SHARE)
+    if starts is None:  # past the cap, or a NaN sorted last: refused as is
+        return (np.repeat(values, counts) if in_order else values), None
+    return values[starts], np.add.reduceat(counts, starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,13 +316,11 @@ def read_dust(path) -> CantorDust:
 def _dust_text(pts: np.ndarray) -> str:
     """The lines of sorted points pts, one repr per point. Equal points sit
     together, so each run of them is converted once and repeated (see
-    _runs_text). Runs compare bits, since -0.0 == 0.0 but their reprs
-    differ. A run costs about 1.25 times a line of the plain join, so pts
-    with fewer than a fifth of their lines repeated are joined line by
-    line."""
-    bits = pts.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if 5 * starts.size >= 4 * pts.size:
+    _runs_text). A run costs about 1.25 times a line of the plain join, so
+    pts with fewer than a fifth of their lines repeated (5 runs >= 4 lines)
+    are joined line by line."""
+    starts = _order_and_runs(pts, (4 * pts.size - 1) // 5)[1]
+    if starts is None:
         return "\n".join(map(repr, pts.tolist())) + "\n"
     return "".join(_runs_text(pts[starts], np.diff(starts, append=pts.size)))
 

@@ -110,6 +110,7 @@ def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
     boxes contributes the point (bin midpoint, ln N / ln B). Empty bins are
     omitted. If all alphas coincide the spectrum collapses to one point.
     """
+    _check_count(B, 2, "box count", BadBoxCount)
     _check_count(A, 1, "bin count")
     if alphas.size == 0:
         raise MfkError("alpha field is empty")
@@ -134,14 +135,15 @@ def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
 def validate_sizing(S: int, B: int,
                     A: int) -> tuple[SizingStatus, tuple[str, ...]]:
     """Check the scale-separation inequalities S >= B^2 and B >= A^2, and
-    return the status with its notes. A box count below 2 or a bin count
-    below 1 is refused first, as no sizing can make it usable.
+    return the status with its notes. A sample size or bin count below 1,
+    or a box count below 2, is refused first, as no sizing can make it usable.
 
     B up to twice sqrt(S) is tolerated as a Warning: pushing the box count
     past sqrt(S) trades smoothness for resolution but stays usable.
     """
     _check_count(B, 2, "box count", BadBoxCount)
     _check_count(A, 1, "bin count")
+    _check_count(S, 1, "sample size")
     msgs = []
     violated = False
     if S < B * B:

@@ -84,6 +84,29 @@ def test_order_check_and_runs_hold_no_s_byte_temporary(kind, kept):
     assert peak <= bound
 
 
+def test_runs_past_the_cap_are_expanded_without_their_starts():
+    """CantorDust(values, counts) of S distinct values, each with a count of
+    1, has S runs, past S // _RUN_SHARE, so it holds the S points and no
+    counts. It holds at most four S-item arrays of 8 bytes: the argsort,
+    the sorted values, the sorted counts and the expanded points, with a
+    few chunks' comparison masks to spare (4 * _CHUNK_LINES bytes). Making
+    every run's start, value and summed count before expanding them took
+    6 * 8S bytes."""
+    S = 2**20
+    values, counts = np.linspace(0.0, 1.0, S), np.ones(S, np.int64)
+    bound = 4 * 8 * S + 4 * measure._CHUNK_LINES
+    assert bound < 5 * 8 * S
+    tracemalloc.start()
+    try:
+        dust = CantorDust(values, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dust.counts is None
+    assert np.array_equal(dust.values, values)
+    assert peak <= bound
+
+
 def test_cover_direct_count():
     m = cover(CantorDust(np.array([0.05, 0.15, 0.95])), 10)
     expected = np.zeros(10)
@@ -124,6 +147,9 @@ COUNT_CALLERS = {  # each caller of the count guard, with the count as n
     "histogram_spectrum": (lambda n: histogram_spectrum(
         np.array([1.0, 2.0]), 10, n), "bin count"),
     "validate_sizing": (lambda n: validate_sizing(10_000, n, 9), "box count"),
+    "histogram_spectrum-B": (lambda n: histogram_spectrum(
+        np.array([1.0, 2.0]), n, 3), "box count"),
+    "validate_sizing-S": (lambda n: validate_sizing(n, 10, 3), "sample size"),
 }
 
 
@@ -289,6 +315,15 @@ def test_read_dust_rejects_garbage(tmp_path):
     path.write_text("0.5\nnot-a-number\n")
     with pytest.raises(FormatError):
         read_dust(path)
+
+
+def test_nan_among_counted_values_is_refused_unexpanded():
+    # a NaN sorts last, so the joined runs fail the order check; they are
+    # refused as they are, not expanded to their 2^50 points first
+    with pytest.raises(FormatError, match=r"dust points must lie in "
+                       r"\[0,1\]$") as exc:
+        CantorDust(np.array([np.nan, 0.5]), [1, 2**50])
+    assert exc.value.exit_code == 1
 
 
 def test_read_dust_rejects_nan(tmp_path):

@@ -69,6 +69,14 @@ class TestHistogram:
             histogram_spectrum(*field_from([0.7, 0.9], 100), A)
         assert exc.value.exit_code == 2
 
+    @pytest.mark.parametrize("B", [0, 1])
+    def test_box_count_below_2_refused(self, B):
+        # B = 0 escaped from math.log, and B = 1 as a bad spectrum point
+        with pytest.raises(BadBoxCount, match=f"^box count must be >= 2, "
+                           f"got {B}$") as exc:
+            histogram_spectrum(*field_from([0.7, 0.9], B), 9)
+        assert exc.value.exit_code == 2
+
     def test_empty_field_refused(self):
         with pytest.raises(MfkError, match="alpha field is empty") as exc:
             histogram_spectrum(*field_from([], 100), 9)
@@ -112,6 +120,14 @@ class TestSizing:
         with pytest.raises(BadBoxCount,
                            match="box count must be >= 2, got 1"):
             validate_sizing(10_000, 1, 1)
+
+    @pytest.mark.parametrize("S", [-5, 0])
+    def test_refuses_a_sample_size_below_1(self, S):
+        # S = -5 escaped from math.sqrt
+        with pytest.raises(SpecError, match=f"^sample size must be >= 1, "
+                           f"got {S}$") as exc:
+            validate_sizing(S, 10, 3)
+        assert exc.value.exit_code == 2
 
     def test_auto_size(self):
         assert auto_size(10_000) == (100, 9)
