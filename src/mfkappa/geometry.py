@@ -230,28 +230,83 @@ def _window_screen(alphas, fs, length, start):
     return resid, 16 * length ** 2 * np.finfo(float).eps * scale
 
 
+def _chord_bound(alphas, fs, length, start, residual_tol):
+    """A lower bound on the max |residual| of any line through each window
+    (length[k] consecutive points from start[k]), from five of its points,
+    and an allowance for rounding, valid for a window whose polyfit
+    residual is at most residual_tol (a scalar, or one per window).
+
+    For points i < m < k and any line, the residuals r satisfy
+    r_m - (lam*r_i + (1 - lam)*r_k) = f_m - chord_ik(alpha_m), with
+    lam = (alpha_k - alpha_m) / (alpha_k - alpha_i) in (0, 1), as the line's
+    part cancels; so one of the three residuals is at least
+    d = |f_m - chord_ik(alpha_m)| / 2. The bound is the largest d over the
+    window's two ends s, e and its quartile points m = s + (L - 1)*q // 4,
+    q = 1, 2, 3, with the chord f_s + (f_e - f_s)*t, t = (alpha_m - alpha_s)
+    / (alpha_e - alpha_s). Rounding t (three ops, t in [0, 1]) and the
+    chord and difference (four more, on terms below 2F, F = max|f|) moves
+    the computed d by under 3.3*eps*F. Polyfit's residual rho is computed
+    as f - polyval(coef, alpha): it differs from the exact residual of its
+    line by under (eps/2)*(rho + |s|*|alpha| + |f| + rho), and the line's
+    values sit within rho of f at the window's ends, so its slope |s| is
+    below 2*(F + rho) / (alpha_e - alpha_s) and |s|*|alpha| below
+    2*(F + rho)*K, with K = max|alpha| / (alpha_e - alpha_s) as in
+    _window_screen. (A window that polyfit refits on alpha - alpha_s shifts
+    alpha exactly, which leaves d as it is and K no larger.) So to first
+    order the computed bound exceeds rho by under
+    (1 + 3.3)*eps*(F + rho)*(1 + K), and the allowance takes
+    8*eps*(F + residual_tol)*(1 + K), which grows with rho: a window with
+    bound > residual_tol + allowance has rho > residual_tol. Where K is so
+    large that the first order fails (2*eps*K near 1), the allowance is
+    past 4*F, above any bound. On fuzzed windows (alpha offsets to 2**40,
+    spacings from 1e-12 to 3, lines exact to rounding, noisy lines, caps
+    and noise) the bound passed rho by under 0.16*eps*(F + rho)*(1 + K),
+    below 0.02 of the allowance at rho: a 50-fold headroom.
+    """
+    end = start + length - 1
+    a_s, f_s = alphas[start], fs[start]
+    span, rise = alphas[end] - a_s, fs[end] - f_s
+    bound = np.zeros(start.size)
+    for q in (1, 2, 3):
+        m = start + (length - 1) * q // 4
+        chord = f_s + rise * ((alphas[m] - a_s) / span)
+        bound = np.maximum(bound, np.abs(fs[m] - chord))
+    k = np.maximum(np.abs(a_s), np.abs(alphas[end])) / span  # alphas increase
+    scale = (np.max(np.abs(fs)) + residual_tol) * (1 + k)
+    return bound / 2, 8 * np.finfo(float).eps * scale
+
+
 def detect_segment(spectrum: Spectrum,
                    residual_tol: float = GeometryConfig.residual_tol,
                    min_run: int = 4) -> SegmentReport:
     """Longest run of consecutive points collinear within residual_tol.
 
     Max-residual against the least-squares line encodes "f'(alpha) constant"
-    robustly on the short point lists this estimator produces. One
-    _window_screen call screens every window of at least min_run points at
-    once (a spectrum too long for _SCREEN_CELLS takes a few, longest
-    windows first). Only a window whose screened residual is within
-    residual_tol plus its margin (or is not finite) is fitted by polyfit,
-    longest first and then leftmost, and only polyfit's slope and residual
-    decide a hit and its report; the search stops after the first length
-    with a hit. The margin bounds the screen's error, so no window polyfit
-    would accept is skipped and the report is the one fitting every window
-    gives.
+    robustly on the short point lists this estimator produces. Every window
+    of at least min_run points is first bounded by _chord_bound, and a
+    window whose bound passes residual_tol plus its allowance is dropped:
+    no line, polyfit's included, fits it. One _window_screen call screens
+    the windows left (a spectrum too long for _SCREEN_CELLS takes a few
+    groups, longest windows first, and a group with none left takes none).
+    Only a window whose screened residual is within residual_tol plus its
+    margin (or is not finite) is fitted by polyfit, longest first and then
+    leftmost, and only polyfit's slope and residual decide a hit and its
+    report; the search stops after the first length with a hit. The
+    allowance and the margin bound the rounding of the bound and the
+    screen, so no window polyfit would accept is skipped and the report is
+    the one fitting every window gives.
     """
     alphas, fs = spectrum.alphas, spectrum.fs
     hits, longest = [], 0
     for length, start in _window_groups(fs.size, max(4, min_run)):
         if length[0] < longest:
             break
+        bound, allowance = _chord_bound(alphas, fs, length, start,
+                                        residual_tol)
+        keep = ~(bound > residual_tol + allowance)
+        if not keep.any():
+            continue
+        length, start = length[keep], start[keep]
         screened, margin = _window_screen(alphas, fs, length, start)
         keep = ~(screened > residual_tol + margin)
         for size, i in zip(length[keep].tolist(), start[keep].tolist()):

@@ -133,7 +133,8 @@ def _joined_runs(values: np.ndarray, counts):
         raise FormatError("dust counts must be positive integers, one "
                           "per value, with a total of at most 2**53")
     order = np.argsort(values, kind="stable")
-    values, counts = values[order], counts[order].astype(np.int64)
+    values, counts = values[order], counts[order].astype(np.int64, copy=False)
+    del order  # the expansion below may hold S points
     in_order, starts = _order_and_runs(values, counts.sum() // _RUN_SHARE)
     if starts is None:  # past the cap, or a NaN sorted last: refused as is
         return (np.repeat(values, counts) if in_order else values), None
@@ -357,19 +358,23 @@ def write_dust(dust: CantorDust, path, header: dict | None = None) -> None:
 
 
 def atomic_write(path, chunks) -> None:
-    """Write the text chunks to path atomically (temp file + rename)."""
+    """Write the text chunks to path atomically (temp file + rename). An
+    OSError names path, not the temporary file."""
     path = os.fspath(path)
     dirname = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".mfk-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
-            fh.flush()
-            os.fsync(fh.fileno())  # on disk before the rename publishes it
-        umask = os.umask(0)  # read it: mkstemp's 0600 ignores it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".mfk-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines(chunks)
+                fh.flush()
+                os.fsync(fh.fileno())  # on disk before the rename publishes it
+            umask = os.umask(0)  # read it: mkstemp's 0600 ignores it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc

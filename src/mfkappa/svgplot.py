@@ -64,16 +64,18 @@ def render_spectra_svg(spectra, gap_threshold: float | None = None) -> str:
         label = f"B={spec.B}"
         frag = detect_fragments(spec, gap_threshold)
         out.append(f'<g class="series" data-label="{label}">')
-        alphas, fs = spec.alphas, spec.fs
+        # mapped as arrays, which round as the scalar maps do, and each
+        # coordinate formatted once for its polyline and its circle
+        xs = [f"{x:.2f}" for x in sx(spec.alphas).tolist()]
+        ys = [f"{y:.2f}" for y in sy(spec.fs).tolist()]
         for i, j in frag.fragments:
             if j > i:
-                pts = " ".join(f"{sx(a):.2f},{sy(f):.2f}"
-                               for a, f in zip(alphas[i:j + 1], fs[i:j + 1]))
+                pts = " ".join(f"{x},{y}"
+                               for x, y in zip(xs[i:j + 1], ys[i:j + 1]))
                 out.append(f'<polyline points="{pts}" fill="none" '
                            f'stroke="{color}"/>')
-        for a, f in zip(alphas, fs):
-            out.append(f'<circle cx="{sx(a):.2f}" cy="{sy(f):.2f}" r="3" '
-                       f'fill="{color}"/>')
+        for x, y in zip(xs, ys):
+            out.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>')
         out.append("</g>")
         out.append(f'<text class="legend" x="{_WIDTH - _MARGIN - 90}" '
                    f'y="{_MARGIN + 16 * (k + 1)}" fill="{color}">'

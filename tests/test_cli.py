@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkappa
-from mfkappa import errors
+from mfkappa import errors, svgplot
 from mfkappa.cli import build_parser, main
+from mfkappa.geometry import detect_fragments
 from mfkappa.measure import (_MAX_COUNT, cover, read_dust, read_rows,
                              write_dust)
 from mfkappa.oracles import gen_uniform
 from mfkappa.spectrum import (alpha_field, auto_size, estimate,
                               histogram_spectrum, read_spectrum_csv,
-                              validate_sizing, write_spectrum_csv)
+                              Spectrum, validate_sizing, write_spectrum_csv)
 from mfkappa.svgplot import render_spectra_svg
 
 
@@ -899,9 +900,109 @@ class TestPlot:
             render_spectra_svg([])
         assert exc.value.exit_code == 1
 
+    def test_array_map_writes_the_per_point_bytes(self):
+        """render_spectra_svg maps each spectrum's coordinates as arrays and
+        formats each once: the bytes are the per-point renderer's, on
+        spectra with fragments and lone points, one to four to a plot."""
+        rng = np.random.default_rng(36)
+        broken = lone = 0
+        for _ in range(60):
+            spectra = []
+            for _ in range(int(rng.integers(1, 5))):
+                n = int(rng.integers(1, 40))
+                scale = float(rng.choice([1e-3, 1.0, 1e3]))
+                steps = rng.choice([0.01, 0.05, 0.3, 1.0], n) \
+                    * rng.uniform(0.5, 1.5, n)
+                alphas = scale * (rng.uniform(-1, 3) + np.cumsum(steps))
+                fs = np.where(rng.random(n) < 0.2, 0.0,
+                              rng.uniform(0, 1.2, n))
+                spectra.append(Spectrum(alphas, fs, B=int(rng.integers(2,
+                                                                       999))))
+            gap = [None, 0.1, 0.5][int(rng.integers(3))]
+            assert render_spectra_svg(spectra, gap) == \
+                render_per_point(spectra, gap)
+            for spec in spectra:
+                frag = detect_fragments(spec, gap)
+                broken += len(frag.fragments) > 1
+                lone += len(frag.isolated_points) > 0
+        assert broken > 20 and lone > 20
+
+
+def render_per_point(spectra, gap_threshold=None):
+    """render_spectra_svg as it mapped and formatted each point on its own,
+    on its polyline and again for its circle: the reference for the array
+    map."""
+    width, height, margin = svgplot._WIDTH, svgplot._HEIGHT, svgplot._MARGIN
+    lo, hi = svgplot._limits(spectra)
+    span = hi - lo
+    inner = width - 2 * margin
+
+    def sx(a):
+        return margin + (a - lo) / span * inner
+
+    def sy(f):
+        return height - margin - (f - lo) / span * inner
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line class="axis" x1="{margin}" y1="{height - margin}" '
+        f'x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
+        f'<line class="axis" x1="{margin}" y1="{margin}" '
+        f'x2="{margin}" y2="{height - margin}" stroke="black"/>',
+        f'<text x="{width // 2}" y="{height - 12}" '
+        'text-anchor="middle">alpha</text>',
+        f'<text x="14" y="{height // 2}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {height // 2})">f(alpha)</text>',
+        f'<line class="bisectrix" x1="{sx(lo):.2f}" y1="{sy(lo):.2f}" '
+        f'x2="{sx(hi):.2f}" y2="{sy(hi):.2f}" '
+        'stroke="#999" stroke-dasharray="4 3"/>',
+    ]
+    for k, spec in enumerate(spectra):
+        color = svgplot._COLORS[k % len(svgplot._COLORS)]
+        label = f"B={spec.B}"
+        frag = detect_fragments(spec, gap_threshold)
+        out.append(f'<g class="series" data-label="{label}">')
+        alphas, fs = spec.alphas, spec.fs
+        for i, j in frag.fragments:
+            if j > i:
+                pts = " ".join(f"{sx(a):.2f},{sy(f):.2f}"
+                               for a, f in zip(alphas[i:j + 1], fs[i:j + 1]))
+                out.append(f'<polyline points="{pts}" fill="none" '
+                           f'stroke="{color}"/>')
+        for a, f in zip(alphas, fs):
+            out.append(f'<circle cx="{sx(a):.2f}" cy="{sy(f):.2f}" r="3" '
+                       f'fill="{color}"/>')
+        out.append("</g>")
+        out.append(f'<text class="legend" x="{width - margin - 90}" '
+                   f'y="{margin + 16 * (k + 1)}" fill="{color}">'
+                   f'{label}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
 
 # alphas whose squares underflow
 UNDERFLOWING = [0.0, 5.635350551177872e-171, 2.5723126151746734e-239, 1e-320]
+
+
+def test_refused_write_names_the_out_path(tmp_path, capsys):
+    """An --out in a missing directory exits 1, and the one error line names
+    that path, not the temporary file atomic_write writes first."""
+    dust, csv = tmp_path / "d.txt", tmp_path / "s.csv"
+    assert run("generate", "uniform", "--S", "1000", "--out", str(dust)) == 0
+    assert run("analyze", str(dust), "--boxes", "100", "--bins", "3",
+               "--force", "--out", str(csv)) == 0
+    out = str(tmp_path / "missing" / "x.out")
+    for argv in (["generate", "uniform", "--S", "1000"],
+                 ["analyze", str(dust), "--boxes", "100", "--bins", "3",
+                  "--force"],
+                 ["classify", str(csv)]):
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert ".mfk-" not in err
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
 
 
 class TestErrorContract:

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import asdict, astuple
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from mfkappa import geometry
 from mfkappa.errors import FormatError, MfkError, SpecError
 from mfkappa.geometry import (_SCREEN_CELLS, FragmentReport, GeometryConfig,
                               IsolatedPoint, SegmentReport, SpectrumFeatures,
-                              _line_fit_residual, _window_groups,
-                              _window_screen,
+                              _chord_bound, _line_fit_residual,
+                              _window_groups, _window_screen,
                               cap_shape_check, classify, compare_sweep,
                               default_gap_threshold, detect_fragments,
                               detect_segment, features)
@@ -292,6 +293,35 @@ def screen_each_length(spectrum, residual_tol, min_run):
     return SegmentReport(found=False), fits
 
 
+def near_lines(seed, count):
+    """(alphas, fs) of 4 to 60 points on lines exact to rounding, with alpha
+    offsets up to 2**40 and spacings down to 1e-12 (raised to 8 ulps of the
+    alphas, so that they still increase); some carry noise of 1e-9, and
+    some are folded at f = 0 by abs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 61))
+        offset = float(rng.choice([0.0, 1.0, 1e3, 2.0**20, 2.0**40]))
+        step = float(rng.choice([1e-12, 1e-9, 1e-6, 0.05, 0.25, 3.0]))
+        step = max(step, 8 * float(np.spacing(offset + 240 * step)))
+        alphas = offset + np.cumsum(step * rng.choice([1.0, 2.5, 4.0], n))
+        t = (alphas - alphas[0]) / (alphas[-1] - alphas[0])
+        fs = rng.uniform(-1, 1) + rng.uniform(-3, 3) * t
+        kind = rng.integers(3)
+        if kind == 1:
+            fs += rng.uniform(-1e-9, 1e-9, n)
+        elif kind == 2:
+            fs = np.abs(fs)
+        yield alphas, fs
+
+
+def sweep_sized_cap(n):
+    """A cap of n points: classify's default min_run, ceil(n / 2), leaves
+    no collinear run in it."""
+    alphas = np.linspace(0.5, 1.5, n)
+    return make_spectrum(alphas, 1 - (alphas - 1) ** 2)
+
+
 def count_calls(monkeypatch, name):
     """Wrap geometry.<name> so that each call adds one to the returned
     list's only entry."""
@@ -393,14 +423,54 @@ class TestSegmentScreen:
     def test_sweep_sized_spectrum_is_screened_in_one_call(self, n,
                                                            monkeypatch):
         """classify's default min_run, ceil(n / 2), over a spectrum of up to
-        60 points: every window is screened by one _window_screen call."""
+        60 points, with a _chord_bound that rejects no window: every window
+        is screened by one _window_screen call."""
+        monkeypatch.setattr(geometry, "_chord_bound",
+                            lambda alphas, fs, length, start, tol:
+                            (np.zeros(length.size), np.zeros(length.size)))
         calls = count_calls(monkeypatch, "_window_screen")
-        alphas = np.linspace(0.5, 1.5, n)
-        spec = make_spectrum(alphas, 1 - (alphas - 1) ** 2)
-        rep = classify(spec)
+        rep = classify(sweep_sized_cap(n))
         assert rep.config["min_run"] == max(4, math.ceil(n / 2))
         assert not rep.segment.found  # so every length was screened
         assert calls[0] == 1
+
+    @pytest.mark.parametrize("n", [4, 19, 46, 53, 60])
+    def test_sweep_sized_cap_is_bounded_without_a_screen(self, n,
+                                                         monkeypatch):
+        """The chord bound rejects every window of these caps, so they make
+        no _window_screen call, and the report is the one screening each
+        length gives."""
+        calls = count_calls(monkeypatch, "_window_screen")
+        spec = sweep_sized_cap(n)
+        rep = classify(spec)
+        ref = screen_each_length(spec, rep.config["residual_tol"],
+                                 rep.config["min_run"])[0]
+        assert astuple(rep.segment) == astuple(ref)
+        assert calls[0] == 0
+
+    def test_chord_bound_less_allowance_is_below_polyfit_residual(self):
+        """On every window, the chord bound minus its allowance at polyfit's
+        own residual rho is at most rho, so a window the bound rejects at
+        residual_tol has rho > residual_tol. Lines exact to rounding give
+        bounds and residuals of rounding size, where the allowance is
+        needed: on some windows the bound passes rho."""
+        points = chain(near_lines(35, 60),
+                       ((s.alphas, s.fs) for s, _, _ in fuzz_spectra(35, 30)))
+        windows = above = 0
+        for alphas, fs in points:
+            assert np.all(np.diff(alphas) > 0)
+            for length, start in _window_groups(fs.size, 4):
+                rho = np.array([_line_fit_residual(alphas[i:i + size],
+                                                   fs[i:i + size])[1]
+                                for size, i in zip(length.tolist(),
+                                                   start.tolist())])
+                bound, allowance = _chord_bound(alphas, fs, length, start,
+                                                rho)
+                assert np.all(bound - allowance <= rho)
+                windows += rho.size
+                above += int(np.sum(bound > rho))
+        assert windows > 10_000
+        assert above > 0
 
 
 class TestFragments:

@@ -87,15 +87,17 @@ def test_order_check_and_runs_hold_no_s_byte_temporary(kind, kept):
 def test_runs_past_the_cap_are_expanded_without_their_starts():
     """CantorDust(values, counts) of S distinct values, each with a count of
     1, has S runs, past S // _RUN_SHARE, so it holds the S points and no
-    counts. It holds at most four S-item arrays of 8 bytes: the argsort,
-    the sorted values, the sorted counts and the expanded points, with a
-    few chunks' comparison masks to spare (4 * _CHUNK_LINES bytes). Making
-    every run's start, value and summed count before expanding them took
-    6 * 8S bytes."""
+    counts. It holds at most three S-item arrays of 8 bytes: the argsort
+    and the sorted values and counts while it gathers, and the sorted
+    values and counts and the expanded points once the argsort is freed,
+    with a few chunks' comparison masks to spare (4 * _CHUNK_LINES bytes).
+    Keeping the argsort through the expansion took 4 * 8S bytes, and
+    making every run's start, value and summed count before expanding them
+    6 * 8S."""
     S = 2**20
     values, counts = np.linspace(0.0, 1.0, S), np.ones(S, np.int64)
-    bound = 4 * 8 * S + 4 * measure._CHUNK_LINES
-    assert bound < 5 * 8 * S
+    bound = 3 * 8 * S + 4 * measure._CHUNK_LINES
+    assert bound < 4 * 8 * S
     tracemalloc.start()
     try:
         dust = CantorDust(values, counts)
