@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MfkError, SpecError
 from .measure import _check_count, _check_integer, _check_real
@@ -213,10 +212,11 @@ def _window_screen(alphas, fs, length, start):
     every window that is not a hit.
     """
     width = int(length.max())
-    inside = np.arange(width) < length[:, None]
+    column = np.arange(width)
+    inside = column < length[:, None]
+    rows = start[:, None] + column
     pad = np.zeros(width)
-    a, f = (sliding_window_view(np.concatenate([x, pad]), width)[start]
-            * inside for x in (alphas, fs))
+    a, f = (np.concatenate([x, pad])[rows] * inside for x in (alphas, fs))
     first, last = alphas[start], alphas[start + length - 1]
     a_max = np.maximum(np.abs(first), np.abs(last))  # alphas increase
     f_max = np.max(np.abs(f), axis=1)
@@ -228,6 +228,9 @@ def _window_screen(alphas, fs, length, start):
     resid = np.max(np.abs(f, out=f), axis=1)
     scale = f_max + np.abs(slope) * a_max + a_max / (last - first) * resid
     return resid, 16 * length ** 2 * np.finfo(float).eps * scale
+
+
+_QUARTERS = np.array([[1], [2], [3]])
 
 
 def _chord_bound(alphas, fs, length, start, residual_tol):
@@ -266,11 +269,9 @@ def _chord_bound(alphas, fs, length, start, residual_tol):
     end = start + length - 1
     a_s, f_s = alphas[start], fs[start]
     span, rise = alphas[end] - a_s, fs[end] - f_s
-    bound = np.zeros(start.size)
-    for q in (1, 2, 3):
-        m = start + (length - 1) * q // 4
-        chord = f_s + rise * ((alphas[m] - a_s) / span)
-        bound = np.maximum(bound, np.abs(fs[m] - chord))
+    m = start + (length - 1) * _QUARTERS // 4  # one row per quartile
+    chord = f_s + rise * ((alphas[m] - a_s) / span)
+    bound = np.max(np.abs(fs[m] - chord), axis=0)
     k = np.maximum(np.abs(a_s), np.abs(alphas[end])) / span  # alphas increase
     scale = (np.max(np.abs(fs)) + residual_tol) * (1 + k)
     return bound / 2, 8 * np.finfo(float).eps * scale
@@ -386,8 +387,10 @@ def classify(spectrum: Spectrum,
     else:
         regime = "Indeterminate"
 
-    resolved = replace(config, min_run=min_run,
-                       gap_threshold=frag.gap_threshold)
+    # config's fields as asdict gives them: all are numbers or None, and
+    # these two are already what GeometryConfig would make of them
+    resolved = dict(vars(config), min_run=min_run,
+                    gap_threshold=frag.gap_threshold)
     return RegimeReport(regime=regime, features=features(spectrum),
                         segment=seg, fragmentation=frag,
-                        cap_shaped=cap_shaped, config=asdict(resolved))
+                        cap_shaped=cap_shaped, config=resolved)

@@ -12,7 +12,7 @@ separated, S >= B^2 and B >= A^2, with a tolerated band up to B <= 2*sqrt(S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,7 +39,11 @@ class Spectrum:
     estimated at: sample size S, box count B, bin count A and bin width
     epsilon_alpha, and the sizing status, a SizingStatus or its value, with
     its notes. An S, B or A of 0 means the spectrum CSV it was
-    read from did not give it."""
+    read from did not give it.
+
+    alphas and fs are integer or float arrays, held as float64 (a float64
+    array is held as given, not copied); bool, complex and object arrays
+    are refused, as no real point is read from them."""
 
     alphas: np.ndarray
     fs: np.ndarray
@@ -67,16 +71,22 @@ class Spectrum:
                 "alphas and fs must be 1-D arrays of one length >= 1, got "
                 f"{type(a).__name__} {np.shape(a)} and "
                 f"{type(f).__name__} {np.shape(f)}")
+        if a.dtype.kind not in "iuf" or f.dtype.kind not in "iuf":
+            raise FormatError("alphas and fs must be integer or float "
+                              f"arrays, got {a.dtype} and {f.dtype}")
+        a, f = a.astype(float, copy=False), f.astype(float, copy=False)
+        object.__setattr__(self, "alphas", a)
+        object.__setattr__(self, "fs", f)
         # each value 0 or of magnitude 2**-450 to 2**450, so finite and
         # within half the float range of one another and of 0 and 1, which
         # a plot takes too (svgplot._limits): no difference of two values,
         # the alpha span, nor a plot's margins can overflow. classify's
         # line fits sum squares of differences of alphas: those of two
         # distinct values of this range, at least 2**-502 apart, are normal
-        # floats, and up to 2**100 of them sum to a finite one
+        # floats, and up to 2**100 of them sum to a finite one. A NaN is
+        # not below 2**-450, but makes the max NaN, which is not <= 2**450
         size = np.abs(np.concatenate([a, f]))
-        if not np.all((size == 0) | ((size >= _POINT_MIN)
-                                     & (size <= 1 / _POINT_MIN))):
+        if size[size < _POINT_MIN].any() or not size.max() <= 1 / _POINT_MIN:
             raise FormatError("spectrum points must be 0 or of magnitude "
                               "from 2**-450 to 2**450")
         if not np.all(a[1:] > a[:-1]):  # a NaN was refused as a value
@@ -108,28 +118,42 @@ def histogram_spectrum(alphas: np.ndarray, B: int, A: int) -> Spectrum:
 
     Bins span [min(alpha), max(alpha)], last bin closed; a bin holding N
     boxes contributes the point (bin midpoint, ln N / ln B). Empty bins are
-    omitted. If all alphas coincide the spectrum collapses to one point.
+    omitted. If all alphas coincide, or lie too close for a nonzero bin
+    width, the spectrum collapses to one point. A NaN or infinite alpha, or
+    a span past the float range, leaves no finite bin width and is refused.
+
+    Bins are clamped from above alone, by np.minimum: with a finite,
+    nonzero bin width every alpha's offset from the minimum is finite and
+    at least 0, so no bin is below 0, and only the top of the span reaches
+    bin A, which the closed last bin takes.
     """
     _check_count(B, 2, "box count", BadBoxCount)
     _check_count(A, 1, "bin count")
+    mids, fs, eps_a = _binned(alphas, B, A)
+    return Spectrum(mids, fs, B=B, A=A, epsilon_alpha=eps_a)
+
+
+def _binned(alphas, B, A):
+    """histogram_spectrum's alphas, fs and bin width, for a box count B
+    and bin count A already checked, so that sweep_boxes builds and checks
+    each Spectrum once. A width that is 0 or not finite gives one point,
+    and the Spectrum refuses a width that is not finite."""
     if alphas.size == 0:
         raise MfkError("alpha field is empty")
     a_lo = float(alphas.min())
     a_hi = float(alphas.max())
+    # 0 for one value, so an all-inf field is refused for its point
+    eps_a = (a_hi - a_lo) / A if a_hi != a_lo else 0.0
     log_b = math.log(B)
-    if a_hi == a_lo:
-        eps_a = 0.0
-        mids = np.array([a_lo])
-        fs = np.array([math.log(alphas.size) / log_b])
-    else:
-        eps_a = (a_hi - a_lo) / A
-        bins = ((alphas - a_lo) / eps_a).astype(np.int64)
-        np.clip(bins, 0, A - 1, out=bins)  # closed last bin
-        counts = np.bincount(bins, minlength=A)
-        occupied = np.flatnonzero(counts)
-        mids = a_lo + (occupied + 0.5) * eps_a
-        fs = np.log(counts[occupied]) / log_b
-    return Spectrum(mids, fs, B=B, A=A, epsilon_alpha=eps_a)
+    if not 0 < eps_a < math.inf:  # no span, or none to split into bins
+        return (np.array([a_lo]), np.array([math.log(alphas.size) / log_b]),
+                eps_a)
+    bins = ((alphas - a_lo) / eps_a).astype(np.int64)
+    np.minimum(bins, A - 1, out=bins)  # closed last bin
+    counts = np.bincount(bins, minlength=A)
+    occupied = np.flatnonzero(counts)
+    return (a_lo + (occupied + 0.5) * eps_a,
+            np.log(counts[occupied]) / log_b, eps_a)
 
 
 def validate_sizing(S: int, B: int,
@@ -199,8 +223,8 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
     box count) is recorded in its entry and the sweep goes on; any other
     error, such as a bad bin count, applies to every B and is raised. The
     Bs that size are then covered one at a time (see cover), and each
-    cover's alpha field is binned into a Spectrum that carries S and the
-    sizing verdict."""
+    cover's alpha field is binned as histogram_spectrum bins it, into a
+    Spectrum built and checked once, with S and the sizing verdict."""
     S = dust.sample_size
     refused, sized = {}, {}
     for k, B in enumerate(B_list):
@@ -215,9 +239,11 @@ def sweep_boxes(dust: CantorDust, B_list, A: int,
     done = {}
     for B, (status, notes) in sized.items():
         measure = cover(dust, B)
-        spec = histogram_spectrum(alpha_field(measure), measure.box_count, A)
-        done[B] = SweepEntry(B, replace(spec, S=S, sizing=status,
-                                        sizing_notes=notes))
+        B_box = measure.box_count
+        mids, fs, eps_a = _binned(alpha_field(measure), B_box, A)
+        done[B] = SweepEntry(B, Spectrum(
+            mids, fs, S=S, B=B_box, A=A, epsilon_alpha=eps_a, sizing=status,
+            sizing_notes=notes))
     return [refused.get(k) or done[B] for k, B in enumerate(B_list)]
 
 

@@ -3,7 +3,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 from itertools import chain
 from pathlib import Path
 
@@ -315,6 +315,43 @@ def near_lines(seed, count):
         yield alphas, fs
 
 
+def chord_bound_by_quartile(alphas, fs, length, start, residual_tol):
+    """_chord_bound with one quartile point at a time: the old==new
+    reference for the (3, W) pass."""
+    end = start + length - 1
+    a_s, f_s = alphas[start], fs[start]
+    span, rise = alphas[end] - a_s, fs[end] - f_s
+    bound = np.zeros(start.size)
+    for q in (1, 2, 3):
+        m = start + (length - 1) * q // 4
+        chord = f_s + rise * ((alphas[m] - a_s) / span)
+        bound = np.maximum(bound, np.abs(fs[m] - chord))
+    k = np.maximum(np.abs(a_s), np.abs(alphas[end])) / span
+    scale = (np.max(np.abs(fs)) + residual_tol) * (1 + k)
+    return bound / 2, 8 * np.finfo(float).eps * scale
+
+
+def window_screen_sliding(alphas, fs, length, start):
+    """_window_screen with its padded rows gathered by sliding_window_view:
+    the old==new reference for the fancy-index gather."""
+    width = int(length.max())
+    inside = np.arange(width) < length[:, None]
+    pad = np.zeros(width)
+    a, f = (sliding_window_view(np.concatenate([x, pad]), width)[start]
+            * inside for x in (alphas, fs))
+    first, last = alphas[start], alphas[start + length - 1]
+    a_max = np.maximum(np.abs(first), np.abs(last))
+    f_max = np.max(np.abs(f), axis=1)
+    for x in (a, f):
+        x -= (np.sum(x, axis=1) / length)[:, None] * inside
+    slope = np.einsum("ij,ij->i", a, f) / np.einsum("ij,ij->i", a, a)
+    a *= slope[:, None]
+    f -= a
+    resid = np.max(np.abs(f, out=f), axis=1)
+    scale = f_max + np.abs(slope) * a_max + a_max / (last - first) * resid
+    return resid, 16 * length ** 2 * np.finfo(float).eps * scale
+
+
 def sweep_sized_cap(n):
     """A cap of n points: classify's default min_run, ceil(n / 2), leaves
     no collinear run in it."""
@@ -453,7 +490,9 @@ class TestSegmentScreen:
         own residual rho is at most rho, so a window the bound rejects at
         residual_tol has rho > residual_tol. Lines exact to rounding give
         bounds and residuals of rounding size, where the allowance is
-        needed: on some windows the bound passes rho."""
+        needed: on some windows the bound passes rho. The bound takes its
+        three quartile points in one (3, W) pass: bound and allowance are
+        the bits of chord_bound_by_quartile's, on all 52,763 windows."""
         points = chain(near_lines(35, 60),
                        ((s.alphas, s.fs) for s, _, _ in fuzz_spectra(35, 30)))
         windows = above = 0
@@ -467,10 +506,32 @@ class TestSegmentScreen:
                 bound, allowance = _chord_bound(alphas, fs, length, start,
                                                 rho)
                 assert np.all(bound - allowance <= rho)
+                ref = chord_bound_by_quartile(alphas, fs, length, start, rho)
+                assert bound.tobytes() == ref[0].tobytes()
+                assert allowance.tobytes() == ref[1].tobytes()
                 windows += rho.size
                 above += int(np.sum(bound > rho))
-        assert windows > 10_000
+        assert windows == 52_763
         assert above > 0
+
+    def test_screen_matches_the_sliding_window_gather(self):
+        """The screen gathers its padded rows by one fancy index; residual
+        and margin are the bits of the sliding_window_view gather, on
+        groups of windows of mixed lengths over 4 to 79 points."""
+        rng = np.random.default_rng(37)
+        for k in range(400):
+            n = int(rng.integers(4, 80))
+            offset = float(rng.choice([0.0, 1.0, 1e3]))
+            alphas = offset + np.cumsum(rng.choice([1e-6, 0.05, 0.25], n))
+            fs = [rng.random(n), 1 - (alphas - alphas.mean()) ** 2,
+                  0.5 + 0.3 * alphas, np.zeros(n)][k % 4]
+            length = rng.integers(4, n + 1, int(rng.integers(1, 60)))
+            start = (rng.random(length.size)
+                     * (n - length + 1)).astype(np.int64)
+            got = _window_screen(alphas, fs, length, start)
+            ref = window_screen_sliding(alphas, fs, length, start)
+            for x, y in zip(got, ref):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestFragments:
@@ -759,6 +820,52 @@ def test_to_json_leaves_the_report_unchanged():
     rep.to_json()
     assert rep.as_dict() == before
     assert rep.config["gap_threshold"] == math.inf
+
+
+def replaced_config(spectrum, config):
+    """The report's config as classify made it by dataclasses.replace and
+    asdict: the old==new reference for the dict built from vars."""
+    n = len(spectrum)
+    min_run = max(4, config.min_run if config.min_run is not None
+                  else math.ceil(n / 2))
+    gap = (config.gap_threshold if config.gap_threshold is not None
+           else default_gap_threshold(spectrum))
+    return asdict(replace(config, min_run=min_run, gap_threshold=gap))
+
+
+@pytest.mark.parametrize("config", [
+    GeometryConfig(residual_tol=1),
+    GeometryConfig(residual_tol=0, min_run=4),
+    GeometryConfig(gap_threshold=math.inf),
+    GeometryConfig(gap_threshold=0.3, min_run=4),
+    GeometryConfig(gap_threshold=2, min_run=40, tol=1),
+    GeometryConfig(min_run=40),
+], ids=["int-tol", "int-tol-min-run-4", "inf-gap", "gap-min-run-4",
+        "int-gap-min-run-past-n", "min-run-past-n"])
+@pytest.mark.parametrize("spectrum", [
+    cap_with_run(), make_spectrum([0.7], [0.0]),
+    make_spectrum([0.5, 0.55, 0.6, 0.65, 1.3], [0.3, 0.5, 0.45, 0.3, 0.0]),
+    make_spectrum(np.linspace(0.5, 1.5, 21), np.linspace(0.1, 0.9, 21), 0.05),
+], ids=["crisis", "one-point", "two-fragments", "line"])
+def test_classify_resolves_its_config_without_rebuilding_it(
+        monkeypatch, spectrum, config):
+    """classify builds no GeometryConfig, and its resolved config, as a
+    dict and as JSON text, is the one replace and asdict gave."""
+    built = []
+    checks = GeometryConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        checks(self)
+
+    monkeypatch.setattr(GeometryConfig, "__post_init__", counted)
+    rep = classify(spectrum, config)
+    assert built == []
+    ref = replaced_config(spectrum, config)
+    assert rep.config == ref
+    assert [type(v) for v in rep.config.values()] == \
+        [type(v) for v in ref.values()]
+    assert rep.to_json() == replace(rep, config=ref).to_json()
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from mfkappa import measure
 from mfkappa.errors import (BadBoxCount, FormatError, MfkError,
                             SizingViolation, SpecError)
+from mfkappa.geometry import classify
 from mfkappa.measure import CantorDust, cover
 from mfkappa.oracles import (SelfSimilarSpec, gen_selfsimilar, gen_uniform,
                              oracle_spectrum)
@@ -18,6 +21,7 @@ from mfkappa.spectrum import (SizingStatus, Spectrum, alpha_field, auto_size,
                               read_spectrum_csv, sweep_boxes,
                               validate_sizing, write_spectrum_csv)
 from mfkappa.spectrum import format_spectrum_csv
+from mfkappa.svgplot import render_spectra_svg
 
 
 def field_from(alphas, B):
@@ -81,6 +85,22 @@ class TestHistogram:
         with pytest.raises(MfkError, match="alpha field is empty") as exc:
             histogram_spectrum(*field_from([], 100), 9)
         assert exc.value.exit_code == 1
+
+    @pytest.mark.parametrize("alphas", [[0.5, np.nan], [0.5, np.inf],
+                                        [-np.inf, 0.5], [-1e308, 1e308]],
+                             ids=["nan", "inf", "-inf", "span-overflows"])
+    def test_field_with_no_finite_bin_width_refused(self, alphas):
+        """Refused before any alpha is cast to a bin, so no NaN or inf is
+        cast to a negative one; the refusal is the Spectrum's."""
+        with pytest.raises(FormatError, match="^epsilon_alpha must be "
+                           "finite and >= 0, got (nan|inf)$"):
+            histogram_spectrum(*field_from(alphas, 100), 5)
+
+    def test_span_under_one_bin_width_is_one_point(self):
+        # the span of 2 subnormal steps over 5 bins rounds to a width of 0
+        spec = histogram_spectrum(*field_from([0.0, 1e-323, 5e-324], 100), 5)
+        assert spec.alphas.tolist() == [0.0] and spec.epsilon_alpha == 0.0
+        assert spec.fs.tolist() == [math.log(3) / math.log(100)]
 
     def test_bin_recovery(self):
         rng = np.random.default_rng(3)
@@ -308,6 +328,30 @@ class TestSweep:
         assert calls == SWEEP_1E7_BOXES
         assert [e.spectrum is None for e in entries] == [False] * 12 + [True]
 
+    def test_each_spectrum_is_built_and_checked_once(self, monkeypatch):
+        """One Spectrum check per distinct B that sizes (Ok, Warning-band
+        and a forced Violation), none for a repeat or a refusal, and each
+        entry the spectrum its stages compose."""
+        dust = gen_uniform(10_000, "random", seed=5)
+        checked = []
+        checks = Spectrum.__post_init__
+
+        def counted(self):
+            checked.append(self.B)
+            checks(self)
+
+        monkeypatch.setattr(Spectrum, "__post_init__", counted)
+        B_list = [100, 150, 5000, 100, 1]
+        entries = sweep_boxes(dust, B_list, 3, force=True)
+        assert checked == [100, 150, 5000]
+        monkeypatch.undo()
+        assert [e.spectrum.sizing for e in entries[:3]] == [
+            SizingStatus.OK, SizingStatus.WARNING, SizingStatus.VIOLATION]
+        assert entries[3].spectrum is entries[0].spectrum
+        assert isinstance(entries[4].error, BadBoxCount)
+        for e in entries[:4]:
+            assert_same_spectrum(e.spectrum, composed(dust, e.B, 3))
+
     def test_peak_memory_follows_the_largest_box_count(self):
         """A sweep of four box counts near 2^20 takes at most 1.5 times
         the peak memory of one estimate at the largest: each B is covered,
@@ -419,6 +463,40 @@ def test_spectrum_refuses_fields_it_cannot_hold(fields, message):
         Spectrum(**{"alphas": ONE, "fs": ONE, **fields})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("array", [
+    np.array([False, True]), np.array([0.5 + 0j, 1.0]),
+    np.array([0.5, 1.0], dtype=object),
+], ids=["bool", "complex", "object"])
+@pytest.mark.parametrize("field", ["alphas", "fs"])
+def test_spectrum_refuses_arrays_of_no_real_dtype(field, array):
+    """A bool array would reach classify's line fits, which cannot subtract
+    bools; a complex or object array holds no real point."""
+    with pytest.raises(FormatError, match="must be integer or float arrays"):
+        Spectrum(**{"alphas": np.array([0.5, 1.0]),
+                    "fs": np.array([0.5, 1.0]), field: array})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32,
+                                   np.float64],
+                         ids=["int64", "uint8", "float32", "float64"])
+def test_spectrum_holds_integer_and_float_arrays_as_float64(dtype):
+    """Each is held as the float64 array it equals, a float64 one as given,
+    before the range check, whose bound 2**450 a float32 cannot hold;
+    classify reports on it as on float64 points."""
+    alphas = np.array([1, 2, 3, 4, 5], dtype=dtype)
+    fs = np.array([0, 1, 2, 3, 2], dtype=dtype)
+    spec = Spectrum(alphas, fs)
+    assert spec.alphas.dtype == spec.fs.dtype == np.float64
+    assert spec.alphas.tolist() == alphas.tolist()
+    assert spec.fs.tolist() == fs.tolist()
+    if dtype is np.float64:
+        assert spec.alphas is alphas and spec.fs is fs
+    ref = Spectrum(alphas.astype(float), fs.astype(float))
+    assert classify(spec).to_json() == classify(ref).to_json()
+
+
 def test_point_range_keeps_the_line_fits_squares_normal_and_finite():
     """classify's line fits (geometry._window_screen and np.polyfit) sum
     squares of differences of alphas over a window. A Spectrum holds 0 and
@@ -443,7 +521,7 @@ def test_point_range_keeps_the_line_fits_squares_normal_and_finite():
         Spectrum(ONE, np.array([x]))
     for x in (np.nextafter(lo, 0.0), -np.nextafter(lo, 0.0),
               np.nextafter(hi, np.inf), 1e-320, 5.635350551177872e-171,
-              1e160):
+              1e160, np.nan, np.inf, -np.inf):
         for a, f in ((np.array([x]), ONE), (ONE, np.array([x]))):
             with pytest.raises(FormatError, match=MAGNITUDE):
                 Spectrum(a, f)
@@ -630,3 +708,44 @@ def test_csv_read_ignores_row_order(tmp_path, dust_and_B, A, data):
     back = read_spectrum_csv(path)
     assert back.alphas.tobytes() == spec.alphas.tobytes()
     assert back.fs.tobytes() == spec.fs.tobytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def sweep_ladder_sections():
+    """Every output of the benchmark's sweep op at S = 1e5, as (label, text)
+    sections: each spectrum's CSV text (its points at full precision), each
+    report's to_json() and the SVG of the ladder, an 11-B ladder from A^2 to
+    2 sqrt(S) (Warning-band past sqrt(S)) over a depth-13 binomial
+    cascade."""
+    dust = cascade(10**5, 13, seed=0)
+    S = dust.sample_size
+    _, A = auto_size(S)
+    hi = math.floor(2 * math.sqrt(S))
+    Bs = sorted({int(b) for b in np.geomspace(A * A, hi, 11)})
+    specs = [e.spectrum for e in sweep_boxes(dust, Bs, A)]
+    sections = []
+    for B, spec in zip(Bs, specs):
+        sections += [(f"B={B} csv", format_spectrum_csv(spec)),
+                     (f"B={B} report", classify(spec).to_json() + "\n")]
+    return sections + [("svg", render_spectra_svg(specs))]
+
+
+def test_sweep_ladder_golden_bytes():
+    """The sweep op's spectra, reports and SVG are the text recorded in
+    tests/golden/sweep_ladder.txt, each section written after a line
+    "==== label ====". The points come from np.log and the reports from
+    np.polyfit, so the golden holds for the numpy build it was recorded
+    with (numpy 2.4.6, x86-64); on another, a last-ulp difference fails
+    here, and the assertion names the section and the line that moved.
+    Only a change meant to move these outputs records it again."""
+    text = (GOLDEN / "sweep_ladder.txt").read_text()
+    parts = re.split(r"^==== (.+) ====\n", text, flags=re.M)
+    assert parts[0] == ""
+    expected = dict(zip(parts[1::2], parts[2::2]))
+    got = sweep_ladder_sections()
+    assert [label for label, _ in got] == list(expected)
+    for label, body in got:  # by line, so a failure shows the line
+        assert body.splitlines(True) == expected[label].splitlines(True), \
+            label
